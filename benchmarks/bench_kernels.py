@@ -13,7 +13,6 @@ import numpy as np
 
 from ucrbm import _kernels as kernels
 from ucrbm import build_tfi, random_init
-from ucrbm.circuit import protocol_sampling_tables
 from ucrbm.hamiltonians import connected_structure
 from ucrbm.spins import all_spin_configs
 
@@ -37,7 +36,6 @@ def main() -> None:
 
     n, m = 10, 10
     k_rows = 20_000 if args.quick else 200_000
-    k_runs = 5_000 if args.quick else 50_000
     params = random_init(n, m, 0.1, 0, True)
     rng = np.random.default_rng(0)
     zmat = all_spin_configs(n).astype(np.float64)[
@@ -46,11 +44,6 @@ def main() -> None:
 
     h = build_tfi(n, 0.7)
     struct = connected_structure(h)
-    psi0, cosphi, sinphi = protocol_sampling_tables(
-        random_init(6, 6, 0.1, 0, True)
-    )
-    u_block = rng.random((k_runs, 6))
-    u_meas = rng.random(k_runs)
 
     cases = [
         (
@@ -67,15 +60,6 @@ def main() -> None:
             lambda: kernels.local_energy_batch_numpy(
                 zmat, params.b, params.m, params.w,
                 struct.flips, struct.word_pref, struct.word_mask, struct.group_ptr,
-            ),
-        ),
-        (
-            f"recycle_sample_batch (K={k_runs}, N=M=6)",
-            lambda: kernels.recycle_sample_batch_numba(
-                psi0, cosphi, sinphi, u_block, u_meas
-            ),
-            lambda: kernels.recycle_sample_batch_numpy(
-                psi0, cosphi, sinphi, u_block, u_meas
             ),
         ),
     ]

@@ -2,9 +2,8 @@
 
 The jitted lane is used when numba imports cleanly and the environment
 variable ``UCRBM_NO_NUMBA`` is unset (or "0"); setting it to any other
-value forces the numpy lane.  Both lanes consume identical pre-drawn
-uniform variates, so a fixed seed reproduces the same samples on either
-backend (floating-point rounding may differ in the last ulp).
+value forces the numpy lane.  The lanes agree up to floating-point
+rounding in the last ulp.
 
 Kernel inputs are plain arrays; the wrapping modules own validation.
 """
@@ -65,41 +64,6 @@ def local_energy_batch_numpy(zmat, b, m, w, flips, word_pref, word_mask, group_p
     zflip = (zmat[:, None, :] * flips[None, :, :]).reshape(k_rows * c_groups, n)
     lp_flip = logpsi_batch_numpy(zflip, b, m, w).reshape(k_rows, c_groups)
     return (elements * np.exp(lp_flip - base[:, None])).sum(axis=1)
-
-
-def recycle_sample_batch_numpy(psi0, cosphi, sinphi, u_block, u_meas):
-    """Run the sequential hidden-block sampling for a batch of protocol runs.
-
-    psi0: normalized visible product state, shape (D,).
-    cosphi/sinphi: per hidden unit, cos/sin of the block phase at every
-    visible configuration, shape (M, D).
-    u_block/u_meas: uniforms deciding the X-basis outcomes and the final
-    visible measurement.
-
-    Returns (outcomes (K, M) int8, measured basis indices (K,), branch
-    probabilities (K,)).
-    """
-    k_runs, m_hidden = u_block.shape
-    state = np.broadcast_to(psi0, (k_runs, psi0.shape[0])).copy()
-    prob = np.ones(k_runs)
-    s_out = np.empty((k_runs, m_hidden), dtype=np.int8)
-    for j in range(m_hidden):
-        amp_plus = state * cosphi[j][None, :]
-        amp_minus = 1j * (state * sinphi[j][None, :])
-        p_plus = np.einsum("kd,kd->k", amp_plus.real, amp_plus.real)
-        p_plus += np.einsum("kd,kd->k", amp_plus.imag, amp_plus.imag)
-        p_minus = np.einsum("kd,kd->k", amp_minus.real, amp_minus.real)
-        p_minus += np.einsum("kd,kd->k", amp_minus.imag, amp_minus.imag)
-        pick = u_block[:, j] < p_plus
-        s_out[:, j] = np.where(pick, 1, -1)
-        p_j = np.where(pick, p_plus, p_minus)
-        state = np.where(pick[:, None], amp_plus, amp_minus)
-        state /= np.sqrt(p_j)[:, None]
-        prob *= p_j
-    weights_z = state.real**2 + state.imag**2
-    cum = np.cumsum(weights_z, axis=1)
-    z_idx = np.minimum((cum < u_meas[:, None]).sum(axis=1), psi0.shape[0] - 1)
-    return s_out, z_idx.astype(np.int64), prob
 
 
 # ---------------------------------------------------------------------------
@@ -174,61 +138,14 @@ if HAVE_NUMBA:
             out[k] = acc
         return out
 
-    @_jit
-    def recycle_sample_batch_numba(psi0, cosphi, sinphi, u_block, u_meas):
-        k_runs, m_hidden = u_block.shape
-        dim = psi0.shape[0]
-        s_out = np.empty((k_runs, m_hidden), dtype=np.int8)
-        z_idx = np.empty(k_runs, dtype=np.int64)
-        probs = np.empty(k_runs)
-        state = np.empty(dim, dtype=np.complex128)
-        for k in range(k_runs):
-            for d in range(dim):
-                state[d] = psi0[d]
-            p_tot = 1.0
-            for j in range(m_hidden):
-                p_plus = 0.0
-                p_minus = 0.0
-                for d in range(dim):
-                    ar = state[d] * cosphi[j, d]
-                    ai = state[d] * sinphi[j, d]
-                    p_plus += ar.real * ar.real + ar.imag * ar.imag
-                    p_minus += ai.real * ai.real + ai.imag * ai.imag
-                if u_block[k, j] < p_plus:
-                    s_out[k, j] = 1
-                    r = 1.0 / np.sqrt(p_plus)
-                    for d in range(dim):
-                        state[d] = state[d] * cosphi[j, d] * r
-                    p_tot *= p_plus
-                else:
-                    s_out[k, j] = -1
-                    r = 1.0 / np.sqrt(p_minus)
-                    for d in range(dim):
-                        state[d] = state[d] * (1j * sinphi[j, d] * r)
-                    p_tot *= p_minus
-            u = u_meas[k]
-            cum = 0.0
-            idx = dim - 1
-            for d in range(dim):
-                cum += state[d].real ** 2 + state[d].imag ** 2
-                if u < cum:
-                    idx = d
-                    break
-            z_idx[k] = idx
-            probs[k] = p_tot
-        return s_out, z_idx, probs
-
 else:  # pragma: no cover
     logpsi_batch_numba = None
     local_energy_batch_numba = None
-    recycle_sample_batch_numba = None
 
 
 if USE_NUMBA:
     logpsi_batch = logpsi_batch_numba
     local_energy_batch = local_energy_batch_numba
-    recycle_sample_batch = recycle_sample_batch_numba
 else:
     logpsi_batch = logpsi_batch_numpy
     local_energy_batch = local_energy_batch_numpy
-    recycle_sample_batch = recycle_sample_batch_numpy

@@ -6,6 +6,11 @@ hidden units never cost more than one extra qubit.  Accepting every
 measurement outcome and reweighting by the classical factors R_s(Re m_j)^2
 replaces post-selection; enumerating all 2^M outcome histories gives the
 exact branch decomposition used by the verification routines.
+
+The ensemble estimators do not run this emulation: ``sample_protocol_batch``
+draws (s, z) from the factorized protocol law in O(K N M) work, with no
+statevector and no 2^N cap.  The gate-level emulation (``run_recycle_protocol``,
+``enumerate_branches``) is the oracle that the sampler is tested against.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import NumericalIntegrityError, ProtocolOrderError, SizeCapError
 from .rbm import DEFAULT_STATEVECTOR_CAP, RbmParams, r_factor
 from .spins import all_spin_configs
@@ -364,34 +368,30 @@ def verify_ensemble_identities(
 # batched sampling front-end used by the estimators
 
 
-def protocol_sampling_tables(params: RbmParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Precomputed (psi0, cos phi, sin phi) tables for the batch sampler."""
-    psi0 = prepare_visible_product(params).amplitudes
-    zmat = all_spin_configs(params.n_visible).astype(np.float64)
-    phi = params.m.imag[:, None] + (zmat @ params.w.imag).T
-    return psi0, np.cos(phi), np.sin(phi)
-
-
 def sample_protocol_batch(
     params: RbmParams,
     n_runs: int,
     rng: np.random.Generator,
-    tables=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Draw n_runs protocol runs, one visible measurement each.
 
+    Every hidden block is a phase gate diagonal in z, so the joint law of the
+    outcome history s and the readout z factorizes:
+    p(s, z) = |psi0(z)|^2 prod_j (cos^2 phi_j(z) if s_j = +1, else sin^2 phi_j(z)).
+    Each z_i is drawn independently with P(z_i = +1) = (1 + tanh 2 Re b_i)/2,
+    then each s_j given z with P(s_j = +1) = cos^2 phi_j(z) - O(K N M) work
+    and no statevector, so there is no 2^N cap.  ``run_recycle_protocol`` and
+    ``enumerate_branches`` emulate the gates and serve as the test oracle.
+
     Returns (outcomes (n_runs, M) int8, measured spins (n_runs, N) int8,
-    weights (n_runs,)).  Uniform variates are drawn up front so the numba
-    and numpy kernel lanes see identical randomness.
+    weights prod_j R_{s_j}(Re m_j)^2 (n_runs,)).
     """
     if not params.unitary_coupled:
         raise ValueError("batched protocol sampling requires unitary couplings")
-    check_cap(params.n_visible + 1, DEFAULT_STATEVECTOR_CAP)
-    psi0, cosphi, sinphi = tables if tables is not None else protocol_sampling_tables(params)
-    u_block = rng.random((n_runs, params.n_hidden))
-    u_meas = rng.random(n_runs)
-    s_out, z_idx, _ = _kernels.recycle_sample_batch(psi0, cosphi, sinphi, u_block, u_meas)
-    zmat = all_spin_configs(params.n_visible)[z_idx]
+    p_up = 0.5 * (1.0 + np.tanh(2.0 * params.b.real))
+    zmat = np.where(rng.random((n_runs, params.n_visible)) < p_up, 1, -1).astype(np.int8)
+    phi = params.m.imag[None, :] + zmat.astype(np.float64) @ params.w.imag
+    s_out = np.where(rng.random(phi.shape) < np.cos(phi) ** 2, 1, -1).astype(np.int8)
     r_vals = np.where(
         s_out == 1, np.cosh(params.m.real)[None, :], np.sinh(params.m.real)[None, :]
     )

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _kernels
-from .circuit import protocol_sampling_tables, sample_protocol_batch
+from .circuit import sample_protocol_batch
 from .errors import DegenerateWeightError, NumericalIntegrityError
 from .hamiltonians import PauliHamiltonian, apply_h, connected_states, connected_structure
 from .rbm import (
@@ -78,6 +78,8 @@ class SrSystem:
     def __post_init__(self):
         if self.a.shape != (self.c.shape[0], self.c.shape[0]):
             raise ValueError("A/C dimensions are inconsistent")
+        if not np.all(np.isfinite(self.a)):
+            raise NumericalIntegrityError("A has non-finite entries")
         asym = float(np.max(np.abs(self.a - self.a.T), initial=0.0))
         if asym > 1e-10:
             raise NumericalIntegrityError(f"A is asymmetric by {asym:.3e}")
@@ -150,13 +152,12 @@ def _draw_vmc(params, n_samples, rng, cap, n_threads):
 
 
 def _draw_ensemble(params, n_samples, rng, n_threads):
-    tables = protocol_sampling_tables(params)
     sizes = _chunk_sizes(n_samples)
     rngs = _chunk_rngs(rng, len(sizes))
 
     def worker(args):
         size, chunk_rng = args
-        return sample_protocol_batch(params, size, chunk_rng, tables=tables)
+        return sample_protocol_batch(params, size, chunk_rng)
 
     chunks = _run_chunks(worker, list(zip(sizes, rngs)), n_threads)
     smat = np.concatenate([c[0] for c in chunks], axis=0)
@@ -350,7 +351,16 @@ def read_sample_log(path):
         s_tok, z_tok, w_tok = tokens
         s_rows.append(None if s_tok == "." else string_to_spins(s_tok))
         z_rows.append(string_to_spins(z_tok))
-        weights.append(float(w_tok))
+        try:
+            weight = float(w_tok)
+        except ValueError:
+            weight = float("nan")
+        if not (np.isfinite(weight) and weight >= 0.0):
+            raise ValueError(
+                f"sample log line {lineno}: weight {w_tok!r} is not a finite "
+                "non-negative number"
+            )
+        weights.append(weight)
     if not z_rows:
         raise ValueError("empty sample log")
     smat = None if s_rows[0] is None else np.stack(s_rows)

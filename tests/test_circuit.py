@@ -4,7 +4,6 @@ import scipy.linalg
 
 from conftest import kron_chain, SZ, SI
 
-from ucrbm import _kernels
 from ucrbm.circuit import (
     BranchTable,
     apply_hidden_block,
@@ -12,7 +11,6 @@ from ucrbm.circuit import (
     measure_visible,
     prepare_visible_product,
     project_hidden_outcome,
-    protocol_sampling_tables,
     recombined_statevector,
     run_recycle_protocol,
     sample_hidden_outcome,
@@ -179,30 +177,43 @@ class TestRunRecycleProtocol:
             assert abs(counts[key] / n_runs - prob) < 4 * sigma + 1e-4
 
 
-class TestBatchSamplerMatchesProtocolOps:
-    def test_shared_uniforms_reproduce_the_gate_path(self):
-        p = random_init(3, 3, 0.45, 23, True)
-        n_runs = 64
-        rng = np.random.default_rng(5)
-        u_block = rng.random((n_runs, 3))
-        u_meas = rng.random(n_runs)
+class TestBatchSamplerLaw:
+    def test_joint_frequencies_match_branch_table(self):
+        # chi-square of the joint (s, z) counts against the gate-level law
+        # p(s, z) = branch_probs[s] * |<z|Psi_v^s>|^2; cells expecting fewer
+        # than 5 counts are pooled into one
+        import scipy.stats
 
-        psi0, cosphi, sinphi = protocol_sampling_tables(p)
-        s_k, z_k, prob_k = _kernels.recycle_sample_batch(
-            psi0, cosphi, sinphi, u_block, u_meas
-        )
+        n_runs = 200_000
+        pow2 = np.array([4, 2, 1])
+        for seed in range(10):
+            p = random_init(3, 3, 0.5, seed, True)
+            table = enumerate_branches(p)
+            # table rows are in outcome-index order, like the z basis
+            assert np.array_equal((table.s == -1) @ pow2, np.arange(8))
+            law = table.branch_probs[:, None] * np.stack(
+                [state.probabilities() for state in table.states]
+            )
+            smat, zmat, weights = sample_protocol_batch(
+                p, n_runs, np.random.default_rng(seed)
+            )
+            s_idx = (smat == -1) @ pow2
+            counts = np.bincount(8 * s_idx + (zmat == -1) @ pow2, minlength=64)
+            expected = law.ravel() * n_runs
+            small = expected < 5
+            exp_cells = np.append(expected[~small], expected[small].sum())
+            obs_cells = np.append(counts[~small], counts[small].sum())
+            chi2 = float(np.sum((obs_cells - exp_cells) ** 2 / exp_cells))
+            assert chi2 < scipy.stats.chi2.ppf(0.999, df=exp_cells.shape[0] - 1)
+            np.testing.assert_allclose(weights, table.weights[s_idx], rtol=1e-12)
 
-        class ScriptedRng:
-            def __init__(self, values):
-                self.values = list(values)
-
-            def random(self):
-                return self.values.pop(0)
-
-        for run in range(n_runs):
-            sample = run_recycle_protocol(p, ScriptedRng(u_block[run]))
-            assert np.array_equal(sample.s, s_k[run])
-            assert sample.branch_prob == pytest.approx(prob_k[run], rel=1e-12)
+    def test_no_hidden_units(self):
+        p = random_init(3, 0, 0.5, 4, True)
+        smat, zmat, weights = sample_protocol_batch(p, 50, np.random.default_rng(0))
+        assert smat.shape == (50, 0) and smat.dtype == np.int8
+        assert zmat.shape == (50, 3) and zmat.dtype == np.int8
+        assert np.all(np.abs(zmat) == 1)
+        assert np.all(weights == 1.0)
 
 
 class TestEnumerateBranches:

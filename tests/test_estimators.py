@@ -4,10 +4,11 @@ import pytest
 from conftest import dense_from_terms, random_pauli_hamiltonian
 
 from ucrbm.circuit import enumerate_branches
-from ucrbm.errors import DegenerateWeightError
+from ucrbm.errors import DegenerateWeightError, NumericalIntegrityError
 from ucrbm.estimators import (
     C_SIGN,
     Estimate,
+    SrSystem,
     compute_a_c_exact,
     compute_a_c_from_log,
     compute_a_c_sampled,
@@ -170,6 +171,19 @@ class TestExpectationEnsemble:
         with pytest.raises(ValueError):
             expectation_ensemble(p, build_tfi(2, 1.0), 10, np.random.default_rng(0))
 
+    def test_runs_past_the_statevector_cap(self):
+        # the factorized sampler holds no statevector: N = 16 runs although
+        # 2^17 amplitudes would exceed the default cap
+        h = build_tfi(16, 0.5)
+        p = random_init(16, 4, 0.3, 3, True)
+        exact = expectation_exact(p, h, cap=16).mean
+        est = expectation_ensemble(p, h, 20_000, np.random.default_rng(0))
+        assert abs(est.mean - exact) <= 4 * est.std_error
+        system = compute_a_c_sampled(
+            p, h, 20_000, np.random.default_rng(1), mode="ensemble"
+        )
+        assert abs(system.energy.mean - exact) <= 4 * system.energy.std_error
+
 
 class TestComputeAcExact:
     def test_zero_parameter_structure(self):
@@ -252,6 +266,15 @@ class TestComputeAcSampled:
         four = compute_a_c_sampled(p, h, 9000, np.random.default_rng(5), mode="vmc", n_threads=4)
         assert np.array_equal(one.a, four.a)
         assert np.array_equal(one.c, four.c)
+        one = compute_a_c_sampled(
+            p, h, 9000, np.random.default_rng(5), mode="ensemble", n_threads=1
+        )
+        four = compute_a_c_sampled(
+            p, h, 9000, np.random.default_rng(5), mode="ensemble", n_threads=4
+        )
+        assert np.array_equal(one.a, four.a)
+        assert np.array_equal(one.c, four.c)
+        assert one.energy == four.energy
 
     def test_replay_from_log_is_bitwise_identical(self, tmp_path):
         h = build_tfi(3, 0.5)
@@ -345,6 +368,19 @@ class TestSampleLog:
         path.write_text("+- ++\n")
         with pytest.raises(ValueError):
             read_sample_log(path)
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-0.5", "abc"])
+    def test_bad_weight_rejected(self, tmp_path, weight):
+        path = tmp_path / "bad.log"
+        path.write_text(f"+- ++ 0.5\n+- -+ {weight}\n")
+        with pytest.raises(ValueError, match="sample log line 2"):
+            read_sample_log(path)
+
+
+class TestSrSystemValidation:
+    def test_rejects_non_finite_a(self):
+        with pytest.raises(NumericalIntegrityError):
+            SrSystem(np.full((2, 2), np.nan), np.zeros(2), Estimate(0.0, 0.0, 0, "exact"))
 
 
 class TestEstimateValidation:

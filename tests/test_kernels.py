@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ucrbm import _kernels
-from ucrbm.circuit import protocol_sampling_tables
 from ucrbm.hamiltonians import build_afh, connected_structure
 from ucrbm.rbm import random_init
 from ucrbm.spins import all_spin_configs
@@ -51,31 +50,6 @@ class TestLaneEquivalence:
             _kernels.local_energy_batch_numpy(*args),
             atol=1e-12,
         )
-
-    def test_recycle_sample_batch(self):
-        p = random_init(3, 4, 0.5, 21, True)
-        psi0, cosphi, sinphi = protocol_sampling_tables(p)
-        rng = np.random.default_rng(2)
-        u_block = rng.random((2000, 4))
-        u_meas = rng.random(2000)
-        s_a, z_a, p_a = _kernels.recycle_sample_batch_numba(
-            psi0, cosphi, sinphi, u_block, u_meas
-        )
-        s_b, z_b, p_b = _kernels.recycle_sample_batch_numpy(
-            psi0, cosphi, sinphi, u_block, u_meas
-        )
-        assert np.array_equal(s_a, s_b)
-        assert np.array_equal(z_a, z_b)
-        np.testing.assert_allclose(p_a, p_b, atol=1e-14)
-
-    def test_no_hidden_units_edge(self):
-        p = random_init(2, 0, 0.3, 1, True)
-        psi0, cosphi, sinphi = protocol_sampling_tables(p)
-        u_block = np.empty((5, 0))
-        u_meas = np.linspace(0.05, 0.95, 5)
-        s, z, prob = _kernels.recycle_sample_batch(psi0, cosphi, sinphi, u_block, u_meas)
-        assert s.shape == (5, 0)
-        np.testing.assert_allclose(prob, 1.0)
 
 
 class TestBackendSelection:
