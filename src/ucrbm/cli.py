@@ -212,7 +212,6 @@ def cmd_ite(args) -> int:
         mode=args.mode,
         n_samples=args.n_samples,
         seed=args.seed,
-        mean_field_stage=args.mean_field,
         mean_field_steps=args.mean_field_steps,
         convergence_window=args.conv_window,
         convergence_threshold=args.conv_threshold,

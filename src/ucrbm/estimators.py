@@ -12,6 +12,14 @@ Three estimation modes share one accumulation path:
 Every sampled quantity (all A entries, the C vector, and the energy) is
 accumulated from the same sample stream: one state preparation per sample.
 
+Per-configuration work runs once per distinct configuration with positive
+weight: sampled rows are keyed by their packed bits and their weights
+summed, rows of weight 0 are dropped (exact enumeration can give a row
+probability 0.0 and an infinite amplitude ratio), and one hidden-angle pass
+theta = m + zW per row feeds both the local-energy kernel and the derivative
+columns.  Means, standard errors and preparation counts stay per sample,
+with local energies gathered back through the map from samples to rows.
+
 Each real slot's log-derivative is one of the N + M + N*M distinct complex
 columns x = (z_i, tanh theta_j, z_i tanh theta_j) or i times one.  A and C
 are therefore derived from the complex covariance of x with itself and with
@@ -37,6 +45,7 @@ from .rbm import (
     RbmParams,
     VariationalIndex,
     exact_statevector,
+    hidden_angles,
     log_amplitude,
     log_derivative_columns,
 )
@@ -166,7 +175,7 @@ def _draw_ensemble(params, n_samples, rng, n_threads):
     return smat, zmat, weights, n_samples
 
 
-def _draw_samples(params, h, n_samples, rng, mode, cap, n_threads):
+def _draw_samples(params, n_samples, rng, mode, cap, n_threads):
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if mode == "vmc":
@@ -178,18 +187,52 @@ def _draw_samples(params, h, n_samples, rng, mode, cap, n_threads):
     raise ValueError(f"unknown sampling mode {mode!r}")
 
 
-def _local_energies(params, h, zmat) -> np.ndarray:
+def _distinct_rows(zmat, wn):
+    """Distinct rows of a sampled (K, N) spin batch, keyed by their packed
+    bits (any N), with the summed normalized weight of each and the map
+    from samples to rows."""
+    keys = np.packbits(zmat < 0, axis=1)
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return zmat[first], np.bincount(inverse, weights=wn), inverse
+
+
+def _local_energies(params, h, rows, theta) -> np.ndarray:
+    """Local energies of float spin rows with hidden angles ``theta``."""
     struct = connected_structure(h)
     return _kernels.local_energy_batch(
-        np.ascontiguousarray(zmat, dtype=np.float64),
+        rows,
+        theta,
         params.b,
-        params.m,
         params.w,
         struct.flips,
-        struct.word_pref,
-        struct.word_mask,
-        struct.group_ptr,
+        struct.elements(rows),
+        params.unitary_coupled,
     )
+
+
+def _evaluate(params, h, zmat, wn, distinct):
+    """Evaluate each distinct configuration with positive weight once.
+
+    Returns those rows (float), their summed normalized weights, their
+    hidden angles and local energies, and the local energy of every sample
+    (0 for a sample of weight 0).  ``distinct`` says the rows of ``zmat``
+    are distinct already (exact mode), so they keep their order.
+    """
+    if distinct:
+        rows, row_w, inverse = zmat, wn, None
+    else:
+        rows, row_w, inverse = _distinct_rows(zmat, wn)
+    # Rows of weight 0 are dropped: their ratios may overflow (0 * inf).
+    keep = row_w > 0.0
+    rows = np.ascontiguousarray(rows[keep], dtype=np.float64)
+    theta = hidden_angles(params, rows)
+    eloc_rows = _local_energies(params, h, rows, theta)
+    eloc = np.zeros(keep.shape[0], dtype=np.complex128)
+    eloc[keep] = eloc_rows
+    if inverse is not None:
+        eloc = eloc[inverse]
+    return rows, row_w[keep], theta, eloc_rows, eloc
 
 
 def _energy_estimate(eloc_real, weights, weight_sum, mode, n_samples) -> Estimate:
@@ -214,6 +257,12 @@ def _check_weights(weights) -> float:
     return weight_sum
 
 
+def _sampled_energy(params, h, zmat, weights, mode, n_samples) -> Estimate:
+    weight_sum = _check_weights(weights)
+    eloc = _evaluate(params, h, zmat, weights / weight_sum, False)[-1]
+    return _energy_estimate(eloc.real, weights, weight_sum, mode, n_samples)
+
+
 def expectation_vmc(
     params: RbmParams,
     h: PauliHamiltonian,
@@ -223,9 +272,8 @@ def expectation_vmc(
     n_threads: int = 1,
 ) -> Estimate:
     """Mean local observable over z ~ |<z|Psi>|^2 with i.i.d. errors."""
-    _, zmat, weights, _ = _draw_samples(params, h, n_samples, rng, "vmc", cap, n_threads)
-    eloc = _local_energies(params, h, zmat).real
-    return _energy_estimate(eloc, weights, _check_weights(weights), "vmc", n_samples)
+    _, zmat, weights, _ = _draw_samples(params, n_samples, rng, "vmc", cap, n_threads)
+    return _sampled_energy(params, h, zmat, weights, "vmc", n_samples)
 
 
 def expectation_ensemble(
@@ -239,10 +287,9 @@ def expectation_ensemble(
     """Self-normalized estimator over protocol runs: the weighted mean of
     local observables with weights prod_j R^2_{s_j}, ratio standard error."""
     _, zmat, weights, _ = _draw_samples(
-        params, h, n_samples, rng, "ensemble", cap, n_threads
+        params, n_samples, rng, "ensemble", cap, n_threads
     )
-    eloc = _local_energies(params, h, zmat).real
-    return _energy_estimate(eloc, weights, _check_weights(weights), "ensemble", n_samples)
+    return _sampled_energy(params, h, zmat, weights, "ensemble", n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +312,12 @@ def _column_moments(x, wn, eloc):
 
 def _assemble_system(params, h, zmat, weights, mode, n_samples, n_preparations):
     weight_sum = _check_weights(weights)
-    wn = weights / weight_sum
-    eloc = _local_energies(params, h, zmat)
-    # The (K, D) column arrays are freed before A is built: held here, they
+    rows, row_w, theta, eloc_rows, eloc = _evaluate(
+        params, h, zmat, weights / weight_sum, mode == "exact"
+    )
+    # The (U, D) column arrays are freed before A is built: held here, they
     # raised the ensemble workload's peak RSS by about 5 MB.
-    s, f = _column_moments(log_derivative_columns(params, zmat), wn, eloc)
+    s, f = _column_moments(log_derivative_columns(rows, theta), row_w, eloc_rows)
 
     # Slot blocks: Re S (Re/Re, Im/Im), -Im S (Re row, Im column), +Im S
     # (Im row, Re column); C takes Re F in Re slots and Im F in Im slots.
@@ -302,15 +350,15 @@ def compute_a_c_sampled(
 ) -> SrSystem:
     """A, C, and the energy accumulated from one shared sample stream.
 
-    Per sample the distinct derivative columns are evaluated once and every
-    A entry, every C entry, and the energy are derived from them - exactly
-    one state preparation per sample, reported in ``n_preparations``.  A and
-    C come from the complex covariance of those columns (see the module
-    docstring).  When ``sample_log`` is given, the records are written there
-    for replay.
+    The distinct derivative columns and the local energy are evaluated once
+    per distinct sampled configuration, and every A entry, every C entry, and
+    the energy are derived from them - exactly one state preparation per
+    sample, reported in ``n_preparations``.  A and C come from the complex
+    covariance of those columns (see the module docstring).  When
+    ``sample_log`` is given, the records are written there for replay.
     """
     smat, zmat, weights, n_preps = _draw_samples(
-        params, h, n_samples, rng, mode, cap, n_threads
+        params, n_samples, rng, mode, cap, n_threads
     )
     if sample_log is not None:
         write_sample_log(sample_log, smat, zmat, weights)
@@ -328,13 +376,14 @@ def compute_a_c_from_log(params: RbmParams, h: PauliHamiltonian, path) -> SrSyst
 
 # ---------------------------------------------------------------------------
 # sample log: one "<s-string> <z-string> <weight>" record per line; the
-# s field is "." for modes without hidden outcomes
+# s field is "." for modes without hidden outcomes and "_" for the empty
+# outcome history of a protocol run with no hidden units
 
 
 def write_sample_log(path, smat, zmat, weights) -> None:
     lines = []
     for k in range(zmat.shape[0]):
-        s_str = "." if smat is None else spins_to_string(smat[k])
+        s_str = "." if smat is None else spins_to_string(smat[k]) or "_"
         lines.append(f"{s_str} {spins_to_string(zmat[k])} {float(weights[k])!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -349,7 +398,10 @@ def read_sample_log(path):
         if len(tokens) != 3:
             raise ValueError(f"sample log line {lineno}: expected 3 fields")
         s_tok, z_tok, w_tok = tokens
-        s_rows.append(None if s_tok == "." else string_to_spins(s_tok))
+        if s_tok == ".":
+            s_rows.append(None)
+        else:
+            s_rows.append(string_to_spins("" if s_tok == "_" else s_tok))
         z_rows.append(string_to_spins(z_tok))
         try:
             weight = float(w_tok)

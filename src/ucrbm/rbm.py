@@ -183,15 +183,20 @@ def log_amplitude(params: RbmParams, z) -> complex:
     return complex(log_amplitude_batch(params, z[None, :].astype(np.float64))[0])
 
 
-def log_derivative_columns(params: RbmParams, zmat: np.ndarray) -> np.ndarray:
-    """The N + M + N*M distinct log-derivative columns of a (K, N) batch.
+def hidden_angles(params: RbmParams, zmat: np.ndarray) -> np.ndarray:
+    """theta_j = m_j + sum_i w_ij z_i for each row of a (K, N) float batch."""
+    return params.m[None, :] + zmat @ params.w
 
-    Row k holds z_i, tanh(theta_j) and z_i*tanh(theta_j) (column j*N + i),
-    with theta_j = m_j + sum_i w_ij z_i.  Every real parameter slot's
-    derivative is one of them or i times one (``VariationalIndex.slot_columns``).
+
+def log_derivative_columns(zmat: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """The N + M + N*M distinct log-derivative columns of a (K, N) batch
+    with hidden angles ``theta`` (``hidden_angles``).
+
+    Row k holds z_i, tanh(theta_j) and z_i*tanh(theta_j) (column j*N + i).
+    Every real parameter slot's derivative is one of them or i times one
+    (``VariationalIndex.slot_columns``).
     """
-    zmat = np.ascontiguousarray(zmat, dtype=np.float64)
-    t = np.tanh(params.m[None, :] + zmat @ params.w)
+    t = np.tanh(theta)
     zc = zmat.astype(np.complex128)
     zt = np.einsum("kj,ki->kji", t, zc).reshape(zmat.shape[0], -1)
     return np.concatenate([zc, t, zt], axis=1)
@@ -204,7 +209,8 @@ def log_derivatives_batch(params: RbmParams, zmat: np.ndarray) -> np.ndarray:
     i*tanh(theta_j), i*z_i*tanh(theta_j) and (unrestricted only)
     z_i*tanh(theta_j), with theta_j = m_j + sum_i w_ij z_i.
     """
-    x = log_derivative_columns(params, zmat)
+    zmat = np.ascontiguousarray(zmat, dtype=np.float64)
+    x = log_derivative_columns(zmat, hidden_angles(params, zmat))
     both = np.concatenate([x, 1j * x], axis=1)
     return both[:, VariationalIndex.for_params(params).slot_columns()]
 

@@ -14,9 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateWeightError
+from .errors import DegenerateWeightError, NumericalIntegrityError
 from .estimators import (
     C_SIGN,
+    MODES,
     SrSystem,
     compute_a_c_exact,
     compute_a_c_sampled,
@@ -24,8 +25,6 @@ from .estimators import (
 )
 from .hamiltonians import PauliHamiltonian
 from .rbm import RbmParams, VariationalIndex
-
-MODES = ("exact", "vmc", "ensemble")
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,6 @@ class IteConfig:
     mode: str = "exact"
     n_samples: int = 4096
     seed: int = 0
-    mean_field_stage: bool = False
     mean_field_steps: int = 400
     convergence_window: int = 50
     convergence_threshold: float = 1e-8  # 0 disables early stopping
@@ -102,20 +100,19 @@ def sr_update(system: SrSystem, lam: float, dtau: float) -> tuple[np.ndarray, fl
 
 
 def _build_system(params, h, cfg: IteConfig, step: int) -> SrSystem:
-    if cfg.mode == "exact":
-        return compute_a_c_exact(params, h)
-    rng = np.random.default_rng([cfg.seed, step])
     try:
+        if cfg.mode == "exact":
+            return compute_a_c_exact(params, h)
         return compute_a_c_sampled(
             params,
             h,
             cfg.n_samples,
-            rng,
+            np.random.default_rng([cfg.seed, step]),
             mode=cfg.mode,
             n_threads=cfg.n_threads,
         )
-    except DegenerateWeightError as exc:
-        raise DegenerateWeightError(f"step {step}: {exc}") from exc
+    except (DegenerateWeightError, NumericalIntegrityError) as exc:
+        raise type(exc)(f"step {step}: {exc}") from exc
 
 
 def ite_run(

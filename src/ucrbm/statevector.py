@@ -49,15 +49,6 @@ class StateVector:
         return StateVector(self.n_qubits + 1, amps)
 
 
-def from_amplitudes(amps, normalize: bool = False) -> StateVector:
-    amps = np.asarray(amps, dtype=np.complex128)
-    n = int(round(np.log2(amps.shape[0])))
-    if (1 << n) != amps.shape[0]:
-        raise ValueError(f"length {amps.shape[0]} is not a power of two")
-    state = StateVector(n, amps)
-    return state.normalized() if normalize else state
-
-
 def overlap(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 

@@ -220,6 +220,18 @@ class TestComputeAcExact:
                 ) / (2 * step)
                 assert system.c[slot] == pytest.approx(-0.5 * grad, abs=1e-6)
 
+    def test_zero_probability_rows_are_dropped(self):
+        # Re b_0 = 400 gives the z_0 = -1 rows probability e^{-1600} = 0.0 and
+        # ratios of e^{800} = inf towards z_0 = +1: 0 * inf must not enter.
+        p = random_init(3, 3, 0.3, 1, True)
+        b = p.b.copy()
+        b[0] = 400.0 + 1j * b[0].imag
+        p = RbmParams(b, p.m, p.w, unitary_coupled=True)
+        h = build_tfi(3, 0.5)
+        system = compute_a_c_exact(p, h)
+        assert system.energy.mean == pytest.approx(expectation_exact(p, h).mean, abs=1e-12)
+        assert np.all(np.isfinite(system.c))
+
     def test_descent_direction(self):
         # a step along C strictly lowers the energy to first order
         h = build_afh(3)
@@ -289,6 +301,32 @@ class TestComputeAcSampled:
             assert np.array_equal(original.c, replayed.c)
             assert original.energy.mean == replayed.energy.mean
             assert original.energy.std_error == replayed.energy.std_error
+
+    def test_replay_is_independent_of_row_order(self, tmp_path):
+        # Shuffled lines, some split into two copies that share the line's
+        # weight: each configuration keeps its total weight, so A, C and the
+        # energy mean are unchanged.
+        h = build_afh(4)
+        p = random_init(4, 3, 0.3, 2, True)
+        rng = np.random.default_rng(8)
+        for mode in ("vmc", "ensemble"):
+            log = tmp_path / f"{mode}.log"
+            original = compute_a_c_sampled(
+                p, h, 600, np.random.default_rng(3), mode=mode, sample_log=log
+            )
+            smat, zmat, weights = read_sample_log(log)
+            split = rng.choice(zmat.shape[0], size=100, replace=False)
+            weights[split] *= 0.5
+            rows = np.concatenate([np.arange(zmat.shape[0]), split])
+            rows = rng.permutation(rows)
+            other = tmp_path / f"{mode}-shuffled.log"
+            write_sample_log(
+                other, None if smat is None else smat[rows], zmat[rows], weights[rows]
+            )
+            replayed = compute_a_c_from_log(p, h, other)
+            np.testing.assert_allclose(replayed.a, original.a, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(replayed.c, original.c, rtol=0, atol=1e-12)
+            assert replayed.energy.mean == pytest.approx(original.energy.mean, abs=1e-12)
 
 
 class TestSrStructuralIdentities:
@@ -362,6 +400,20 @@ class TestSampleLog:
         assert path.read_text().startswith(". ")
         s2, z2, w2 = read_sample_log(path)
         assert s2 is None
+
+    def test_round_trip_without_hidden_units(self, tmp_path):
+        h = build_tfi(3, 0.5)
+        p = random_init(3, 0, 0.3, 2, True)
+        log = tmp_path / "samples.log"
+        original = compute_a_c_sampled(
+            p, h, 200, np.random.default_rng(4), mode="ensemble", sample_log=log
+        )
+        smat, zmat, _ = read_sample_log(log)
+        assert smat.shape == (200, 0) and zmat.shape == (200, 3)
+        replayed = compute_a_c_from_log(p, h, log)
+        assert np.array_equal(original.a, replayed.a)
+        assert np.array_equal(original.c, replayed.c)
+        assert original.energy == replayed.energy
 
     def test_malformed_log_rejected(self, tmp_path):
         path = tmp_path / "bad.log"

@@ -1,16 +1,18 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from ucrbm import _kernels
-from ucrbm.hamiltonians import build_afh, connected_structure
-from ucrbm.rbm import random_init
+from ucrbm.estimators import _local_energies, local_observable
+from ucrbm.hamiltonians import TqdParams, build_afh, build_tfi, build_tqd, load_bundled
+from ucrbm.rbm import RbmParams, hidden_angles, random_init
 from ucrbm.spins import all_spin_configs
 
-needs_numba = pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
+MODELS = {
+    "tfi": lambda: build_tfi(4, 0.7),
+    "afh": lambda: build_afh(4),  # Y words carry phases
+    "tqd": lambda: build_tqd(TqdParams(b_field=0.5)),
+    "pauli-file": lambda: load_bundled("lih_four_qubit.txt"),
+}
 
 
 class TestLogcosh:
@@ -28,44 +30,41 @@ class TestLogcosh:
         assert out[0].real == pytest.approx(1000.0 - np.log(2.0))
 
 
-@needs_numba
-class TestLaneEquivalence:
-    def test_logpsi_batch(self):
-        for n, m in ((3, 3), (4, 0), (2, 5)):
-            p = random_init(n, m, 0.4, n + m, False)
-            zmat = all_spin_configs(n).astype(np.float64)
-            a = _kernels.logpsi_batch_numba(zmat, p.b, p.m, p.w)
-            b = _kernels.logpsi_batch_numpy(zmat, p.b, p.m, p.w)
-            np.testing.assert_allclose(a, b, atol=1e-12)
+def assert_matches_oracle(params, h):
+    """The batched local energies of every configuration against the
+    per-configuration log-amplitude oracle, to 1e-10 relative per row."""
+    zmat = all_spin_configs(h.n_qubits)
+    rows = zmat.astype(np.float64)
+    got = _local_energies(params, h, rows, hidden_angles(params, rows))
+    ref = np.array([local_observable(params, z, h) for z in zmat])
+    assert np.all(np.isfinite(ref))
+    assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref))
 
-    def test_local_energy_batch(self):
-        h = build_afh(4)
-        struct = connected_structure(h)
-        p = random_init(4, 4, 0.4, 9, True)
-        zmat = all_spin_configs(4).astype(np.float64)
-        args = (zmat, p.b, p.m, p.w, struct.flips, struct.word_pref,
-                struct.word_mask, struct.group_ptr)
-        np.testing.assert_allclose(
-            _kernels.local_energy_batch_numba(*args),
-            _kernels.local_energy_batch_numpy(*args),
-            atol=1e-12,
-        )
+
+class TestLocalEnergyBatch:
+    @pytest.mark.parametrize("unitary", [True, False])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_matches_local_observable(self, model, unitary):
+        h = MODELS[model]()
+        for seed in range(2):
+            assert_matches_oracle(random_init(h.n_qubits, 3, 1.5, seed, unitary), h)
+
+    @pytest.mark.parametrize("re_w", [5.0, 20.0, 100.0])
+    @pytest.mark.parametrize("model", ["tfi", "afh", "pauli-file"])
+    def test_large_real_couplings(self, model, re_w):
+        # Each ratio factor cosh(theta - 2d)/cosh(theta) is small where both
+        # cosh 2d and tanh(theta) sinh 2d are of order e^{2|Re d|}: the
+        # difference of those two loses every digit once Re w is large.
+        h = MODELS[model]()
+        p = random_init(h.n_qubits, 3, 0.3, 4, False)
+        w = p.w + re_w * np.sign(p.w.real)
+        assert_matches_oracle(RbmParams(p.b, p.m, w, unitary_coupled=False), h)
+
+    def test_no_hidden_units(self):
+        h = build_afh(3)
+        assert_matches_oracle(random_init(3, 0, 0.5, 1, True), h)
 
 
 class TestBackendSelection:
     def test_backend_is_exported(self):
         assert _kernels.BACKEND in ("numba", "numpy")
-
-    def test_env_flag_forces_numpy_lane(self):
-        code = "from ucrbm import _kernels; print(_kernels.BACKEND)"
-        env = dict(os.environ, UCRBM_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.stdout.strip() == "numpy"
-
-    def test_public_names_bound_to_selected_lane(self):
-        if _kernels.USE_NUMBA:
-            assert _kernels.logpsi_batch is _kernels.logpsi_batch_numba
-        else:
-            assert _kernels.logpsi_batch is _kernels.logpsi_batch_numpy

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from ucrbm.errors import NumericalIntegrityError
 from ucrbm.estimators import SrSystem, Estimate, compute_a_c_exact, expectation_exact
 from ucrbm.hamiltonians import build_afh, build_tfi, load_bundled
 from ucrbm.rbm import RbmParams, VariationalIndex, random_init
@@ -124,6 +125,22 @@ class TestIteRun:
         assert np.max(np.abs(final.w.real)) == 0.0
         for row in trace.thetas[::10]:
             assert np.max(np.abs(index.unflatten(row).w.real)) == 0.0
+
+    def test_integrity_errors_carry_the_step(self, monkeypatch):
+        import ucrbm.solver
+
+        h = build_tfi(2, 0.5)
+        calls = []
+
+        def failing(params, ham):
+            calls.append(params)
+            if len(calls) == 3:
+                raise NumericalIntegrityError("A has non-finite entries")
+            return compute_a_c_exact(params, ham)
+
+        monkeypatch.setattr(ucrbm.solver, "compute_a_c_exact", failing)
+        with pytest.raises(NumericalIntegrityError, match="^step 2: A has non-finite"):
+            ite_run(random_init(2, 2, 0.1, 1, True), h, IteConfig(n_steps=5))
 
     def test_early_stop_triggers(self):
         h = build_tfi(2, 0.5)
