@@ -40,7 +40,6 @@ class EnsembleSample:
     weight: float
     visible_state: StateVector
     z_shots: np.ndarray | None = None  # optional (shots, N) int8
-    nonunitary_norm: float = 1.0  # product of renormalization factors, 1 when unitary
 
 
 @dataclass(frozen=True)

@@ -239,13 +239,11 @@ def _energy_estimate(eloc_real, weights, weight_sum, mode, n_samples) -> Estimat
     mean = float(weights @ eloc_real / weight_sum)
     if mode == "exact":
         return Estimate(mean=mean, std_error=0.0, n_samples=0, mode="exact")
-    if mode == "vmc":
-        k = eloc_real.shape[0]
-        var = float(np.var(eloc_real, ddof=1)) if k > 1 else 0.0
-        return Estimate(mean, np.sqrt(var / k), n_samples, "vmc")
+    # Ratio standard error of the self-normalized mean; for unit weights it
+    # is sqrt((K - 1) / K) times the i.i.d. sqrt(var / K).
     resid = weights * (eloc_real - mean)
     se = float(np.sqrt(resid @ resid)) / weight_sum
-    return Estimate(mean, se, n_samples, "ensemble")
+    return Estimate(mean, se, n_samples, mode)
 
 
 def _check_weights(weights) -> float:
@@ -271,7 +269,7 @@ def expectation_vmc(
     cap: int = DEFAULT_STATEVECTOR_CAP,
     n_threads: int = 1,
 ) -> Estimate:
-    """Mean local observable over z ~ |<z|Psi>|^2 with i.i.d. errors."""
+    """Mean local observable over z ~ |<z|Psi>|^2 with its standard error."""
     _, zmat, weights, _ = _draw_samples(params, n_samples, rng, "vmc", cap, n_threads)
     return _sampled_energy(params, h, zmat, weights, "vmc", n_samples)
 
@@ -281,13 +279,12 @@ def expectation_ensemble(
     h: PauliHamiltonian,
     n_samples: int,
     rng: np.random.Generator,
-    cap: int = DEFAULT_STATEVECTOR_CAP,
     n_threads: int = 1,
 ) -> Estimate:
     """Self-normalized estimator over protocol runs: the weighted mean of
     local observables with weights prod_j R^2_{s_j}, ratio standard error."""
     _, zmat, weights, _ = _draw_samples(
-        params, n_samples, rng, "ensemble", cap, n_threads
+        params, n_samples, rng, "ensemble", None, n_threads
     )
     return _sampled_energy(params, h, zmat, weights, "ensemble", n_samples)
 

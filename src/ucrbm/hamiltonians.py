@@ -5,6 +5,11 @@ antiferromagnetic Heisenberg lines, open boundaries, nearest neighbors),
 a Jordan-Wigner mapper for fermionic operators, the triple-quantum-dot
 Hubbard model with Peierls hopping phases, a plain-text file format, and
 matrix-free application plus dense exact diagonalization.
+
+Words are validated as strings; every computation then uses their (x, z)
+bit masks from ``_word_bits``: the Jordan-Wigner products, the connected
+structure and ``apply_h``.  The dense oracle ``dense_matrix`` keeps its own
+Kronecker construction from the characters.
 """
 
 from __future__ import annotations
@@ -31,26 +36,6 @@ _PAULI_MATS = {
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-
-# Single-qubit products P1*P2 -> (P3, phase).
-_PAULI_MUL = {
-    ("I", "I"): ("I", 1),
-    ("I", "X"): ("X", 1),
-    ("I", "Y"): ("Y", 1),
-    ("I", "Z"): ("Z", 1),
-    ("X", "I"): ("X", 1),
-    ("Y", "I"): ("Y", 1),
-    ("Z", "I"): ("Z", 1),
-    ("X", "X"): ("I", 1),
-    ("Y", "Y"): ("I", 1),
-    ("Z", "Z"): ("I", 1),
-    ("X", "Y"): ("Z", 1j),
-    ("Y", "X"): ("Z", -1j),
-    ("Y", "Z"): ("X", 1j),
-    ("Z", "Y"): ("X", -1j),
-    ("Z", "X"): ("Y", 1j),
-    ("X", "Z"): ("Y", -1j),
 }
 
 
@@ -155,27 +140,54 @@ def build_afh(n: int) -> PauliHamiltonian:
 
 
 # ---------------------------------------------------------------------------
+# (x, z) bit form of Pauli words
+
+
+def _word_bits(word: str) -> tuple[int, int]:
+    """(x, z) bit masks of a Pauli word, qubit 0 in the most significant bit.
+
+    The word is i^|x & z| X^x Z^z: X sets x, Z sets z, and Y = iXZ sets both.
+    """
+    x = z = 0
+    for c in word:
+        x = (x << 1) | (c in "XY")
+        z = (z << 1) | (c in "YZ")
+    return x, z
+
+
+def _bits_word(x: int, z: int, n: int) -> str:
+    return "".join("IZXY"[2 * (x >> s & 1) + (z >> s & 1)] for s in range(n - 1, -1, -1))
+
+
+_I_POWERS = (1, 1j, -1, -1j)
+
+
+def _word_product(
+    p1: tuple[int, int], p2: tuple[int, int]
+) -> tuple[complex, tuple[int, int]]:
+    """P1 P2 = phase * P3 for (x, z) words, with phase
+    i^(|x1&z1| + |x2&z2| - |x3&z3| + 2|z1&x2|) (Aaronson & Gottesman 2004)."""
+    (x1, z1), (x2, z2) = p1, p2
+    x3, z3 = x1 ^ x2, z1 ^ z2
+    power = (
+        (x1 & z1).bit_count() + (x2 & z2).bit_count() - (x3 & z3).bit_count()
+        + 2 * (z1 & x2).bit_count()
+    )
+    return _I_POWERS[power % 4], (x3, z3)
+
+
+# ---------------------------------------------------------------------------
 # Jordan-Wigner mapping
 
 
-def _multiply_words(w1: str, w2: str) -> tuple[complex, str]:
-    phase = 1 + 0j
-    out = []
-    for c1, c2 in zip(w1, w2):
-        c3, p = _PAULI_MUL[(c1, c2)]
-        out.append(c3)
-        phase *= p
-    return phase, "".join(out)
-
-
-def _jw_ladder(mode: int, dagger: bool, n_modes: int) -> dict[str, complex]:
+def _jw_ladder(mode: int, dagger: bool, n_modes: int) -> dict[tuple[int, int], complex]:
     """Pauli expansion of one ladder operator with its Z string."""
     prefix = "Z" * mode
     suffix = "I" * (n_modes - mode - 1)
     sign = -0.5j if dagger else 0.5j
     return {
-        prefix + "X" + suffix: 0.5,
-        prefix + "Y" + suffix: sign,
+        _word_bits(prefix + "X" + suffix): 0.5,
+        _word_bits(prefix + "Y" + suffix): sign,
     }
 
 
@@ -185,21 +197,21 @@ def jordan_wigner(terms, n_modes: int, drop_tol: float = 1e-12) -> PauliHamilton
     Raises HermiticityError when the input does not close under conjugation
     (detected as residual imaginary Pauli coefficients).
     """
-    acc: dict[str, complex] = {}
+    acc: dict[tuple[int, int], complex] = {}
     for term in terms:
-        product = {"I" * n_modes: complex(term.coefficient)}
+        product = {(0, 0): complex(term.coefficient)}
         for mode, dagger in term.ops:
             if not 0 <= mode < n_modes:
                 raise ValueError(f"mode {mode} out of range for {n_modes} modes")
             ladder = _jw_ladder(mode, dagger, n_modes)
-            new: dict[str, complex] = {}
-            for w1, c1 in product.items():
-                for w2, c2 in ladder.items():
-                    phase, w3 = _multiply_words(w1, w2)
-                    new[w3] = new.get(w3, 0.0) + c1 * c2 * phase
+            new: dict[tuple[int, int], complex] = {}
+            for p1, c1 in product.items():
+                for p2, c2 in ladder.items():
+                    phase, p3 = _word_product(p1, p2)
+                    new[p3] = new.get(p3, 0.0) + c1 * c2 * phase
             product = new
-        for word, coeff in product.items():
-            acc[word] = acc.get(word, 0.0) + coeff
+        for bits, coeff in product.items():
+            acc[bits] = acc.get(bits, 0.0) + coeff
 
     scale = max((abs(c) for c in acc.values()), default=1.0)
     tol = drop_tol * max(1.0, scale)
@@ -209,7 +221,9 @@ def jordan_wigner(terms, n_modes: int, drop_tol: float = 1e-12) -> PauliHamilton
             f"fermionic input is not Hermitian (imaginary residue {bad:.3e})"
         )
     kept = sorted(
-        (word, c.real) for word, c in acc.items() if abs(c.real) > tol
+        (_bits_word(x, z, n_modes), c.real)
+        for (x, z), c in acc.items()
+        if abs(c.real) > tol
     )
     if not kept:
         kept = [("I" * n_modes, 0.0)]
@@ -346,18 +360,18 @@ def load_bundled(name: str) -> PauliHamiltonian:
 
 @dataclass(frozen=True)
 class ConnectedStructure:
-    """Words grouped by flip pattern for sparse row-wise application.
+    """Words grouped by their X mask for row-wise application.
 
-    For a bra configuration z, the matrix element against the flipped ket
-    z' = z * flips[g] is sum over the group's words of pref * prod of z_i
-    on the word's mask.
+    A word with masks (x, z) maps the bra z to the ket z' = z * flips[g],
+    g being the group of x.  Its element is pref * prod of z_i over the
+    word's Z mask, with pref = coeff * (-i)^|x & z|; ``group_pref`` holds
+    each word's pref in its group's column, so summing a group is a matmul.
     """
 
     flips: np.ndarray = field(repr=False)  # (C, N) float64 in {+1, -1}
     flip_bits: np.ndarray = field(repr=False)  # (C,) int64 XOR masks on indices
-    word_pref: np.ndarray = field(repr=False)  # (n_words,) complex128
-    word_mask: np.ndarray = field(repr=False)  # (n_words, N) bool
-    group_ptr: np.ndarray = field(repr=False)  # (C+1,) int64
+    z_mask: np.ndarray = field(repr=False)  # (N, n_words) float64 in {0, 1}
+    group_pref: np.ndarray = field(repr=False)  # (n_words, C) complex128
 
     @property
     def n_groups(self) -> int:
@@ -366,46 +380,35 @@ class ConnectedStructure:
     def elements(self, zmat: np.ndarray) -> np.ndarray:
         """(K, C) matrix elements H(z, z*flip_g) for spin rows zmat."""
         bits = (1.0 - np.asarray(zmat, dtype=np.float64)) * 0.5
-        parity = (bits @ self.word_mask.T.astype(np.float64)) % 2.0
-        elem_words = (1.0 - 2.0 * parity) * self.word_pref[None, :]
-        return np.add.reduceat(elem_words, self.group_ptr[:-1], axis=1)
+        parity = (bits @ self.z_mask).astype(np.int64) & 1
+        # The signs are real: one real matmul on the interleaved (Re, Im)
+        # columns of group_pref, several times faster than a complex one.
+        return ((1.0 - 2.0 * parity) @ self.group_pref.view(np.float64)).view(
+            np.complex128
+        )
+
+
+def _bit_columns(masks, n: int) -> np.ndarray:
+    """(len(masks), n) 0/1 matrix of integer masks, column i for qubit i."""
+    shifts = np.arange(n - 1, -1, -1)
+    return (np.array(masks, dtype=np.int64)[:, None] >> shifts) & 1
 
 
 @functools.lru_cache(maxsize=64)
 def connected_structure(h: PauliHamiltonian) -> ConnectedStructure:
     n = h.n_qubits
-    groups: dict[int, list[tuple[complex, np.ndarray]]] = {}
-    for coeff, word in h.terms:
-        flip_bits = 0
-        mask = np.zeros(n, dtype=bool)
-        n_y = 0
-        for i, c in enumerate(word):
-            if c in "XY":
-                flip_bits |= 1 << (n - 1 - i)
-            if c in "YZ":
-                mask[i] = True
-            if c == "Y":
-                n_y += 1
-        pref = coeff * (-1j) ** n_y
-        groups.setdefault(flip_bits, []).append((pref, mask))
-
-    order = sorted(groups)
-    flips = np.ones((len(order), n), dtype=np.float64)
-    prefs, masks, ptr = [], [], [0]
-    for g, bitkey in enumerate(order):
-        for i in range(n):
-            if bitkey & (1 << (n - 1 - i)):
-                flips[g, i] = -1.0
-        for pref, mask in groups[bitkey]:
-            prefs.append(pref)
-            masks.append(mask)
-        ptr.append(len(prefs))
+    bits = [_word_bits(word) for _, word in h.terms]
+    order = sorted({x for x, _ in bits})
+    group = {x: g for g, x in enumerate(order)}
+    group_pref = np.zeros((h.n_terms, len(order)), dtype=np.complex128)
+    for k, ((coeff, _), (x, z)) in enumerate(zip(h.terms, bits)):
+        group_pref[k, group[x]] = coeff * (-1j) ** (x & z).bit_count()
+    z_mask = _bit_columns([z for _, z in bits], n).T
     return ConnectedStructure(
-        flips=flips,
+        flips=1.0 - 2.0 * _bit_columns(order, n),
         flip_bits=np.array(order, dtype=np.int64),
-        word_pref=np.array(prefs, dtype=np.complex128),
-        word_mask=np.array(masks, dtype=bool),
-        group_ptr=np.array(ptr, dtype=np.int64),
+        z_mask=np.ascontiguousarray(z_mask, dtype=np.float64),
+        group_pref=group_pref,
     )
 
 
@@ -423,28 +426,15 @@ def connected_states(h: PauliHamiltonian, z) -> list[tuple[np.ndarray, complex]]
 
 
 def apply_h(h: PauliHamiltonian, state: StateVector) -> StateVector:
-    """Matrix-free H|state> via per-word index permutations and phases."""
+    """Matrix-free H|state> as a gather over the connected structure:
+    (H psi)[k] = sum_g H(k, k ^ flip_bits[g]) psi[k ^ flip_bits[g]]."""
     if state.n_qubits != h.n_qubits:
         raise ValueError("state and Hamiltonian qubit counts differ")
+    struct = connected_structure(h)
     n = h.n_qubits
-    dim = 1 << n
-    amps = state.amplitudes
-    idx = np.arange(dim)
-    out = np.zeros(dim, dtype=np.complex128)
-    zmat = all_spin_configs(n).astype(np.float64)
-    for coeff, word in h.terms:
-        flip_bits = 0
-        char = np.ones(dim)
-        n_y = 0
-        for i, c in enumerate(word):
-            if c in "XY":
-                flip_bits |= 1 << (n - 1 - i)
-            if c in "YZ":
-                char *= zmat[:, i]
-            if c == "Y":
-                n_y += 1
-        out[idx ^ flip_bits] += (coeff * (1j) ** n_y) * char * amps
-    return StateVector(n, out)
+    kets = np.arange(1 << n)[:, None] ^ struct.flip_bits[None, :]
+    out = struct.elements(all_spin_configs(n)) * state.amplitudes[kets]
+    return StateVector(n, out.sum(axis=1))
 
 
 def dense_matrix(h: PauliHamiltonian, cap: int = DENSE_CAP) -> np.ndarray:

@@ -23,11 +23,6 @@ HIDDEN_PAIR_TOL = 1e-8
 
 _PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
-# offset/sign resolving the printed parity ambiguity, cached per monomial degree
-_OFFSET_CACHE: dict[int, tuple[float, float]] = {}
-
-_OFFSET_CANDIDATES = (0.0, np.pi / 4, np.pi / 2, 3 * np.pi / 4)
-
 
 def _plus_contraction(phi: complex) -> complex:
     """<+| diag(e^{i phi}, e^{-i phi}) |+> evaluated as explicit 2x2 algebra."""
@@ -71,32 +66,19 @@ def _monomial_diagonals(omega: complex, degree: int, m_tilde: complex):
 
 
 def decouple_monomial(omega: complex, degree: int) -> MonomialDecoupling:
+    """m_tilde = arctan(e^-omega) - (degree mod 4) pi/4, certified densely.
+
+    With k spins at -1 the contraction angle is m_tilde + (pi/4)(degree - 2k),
+    equal to arctan(e^-omega) - k pi/2 modulo pi.  Its cos^2 is therefore
+    cos^2 arctan(e^-omega) for even k and sin^2 for odd k, whose ratio
+    tan^2 = e^(-2 omega) is that of exp(omega * parity) for odd and even k.
+    """
     if degree < 1:
         raise ValueError("monomial degree must be at least one")
-    base = np.arctan(np.exp(-np.asarray(omega, dtype=complex)))
-
-    candidates = []
-    cached = _OFFSET_CACHE.get(degree)
-    if cached is not None:
-        candidates.append(cached)
-    candidates += [
-        (sign, offset)
-        for sign in (1.0, -1.0)
-        for offset in _OFFSET_CANDIDATES
-        if (sign, offset) != cached
-    ]
-
-    best = None
-    for sign, offset in candidates:
-        m_tilde = sign * base - offset
-        lhs, rhs = _monomial_diagonals(omega, degree, m_tilde)
-        lam, deviation = _certify_proportionality(lhs, rhs)
-        if best is None or deviation < best[0]:
-            best = (deviation, sign, offset, m_tilde, lam, lhs, rhs)
-        if deviation <= MONOMIAL_TOL:
-            break
-
-    deviation, sign, offset, m_tilde, lam, lhs, rhs = best
+    offset = (degree % 4) * np.pi / 4
+    m_tilde = np.arctan(np.exp(-np.asarray(omega, dtype=complex))) - offset
+    lhs, rhs = _monomial_diagonals(omega, degree, m_tilde)
+    lam, deviation = _certify_proportionality(lhs, rhs)
     if deviation > MONOMIAL_TOL:
         raise IdentityCheckError(
             f"monomial decoupling failed for omega={omega!r}, degree={degree} "
@@ -104,7 +86,6 @@ def decouple_monomial(omega: complex, degree: int) -> MonomialDecoupling:
             lhs=lhs,
             rhs=rhs,
         )
-    _OFFSET_CACHE[degree] = (sign, offset)
     return MonomialDecoupling(
         omega=complex(omega),
         degree=degree,

@@ -328,6 +328,28 @@ class TestComputeAcSampled:
             np.testing.assert_allclose(replayed.c, original.c, rtol=0, atol=1e-12)
             assert replayed.energy.mean == pytest.approx(original.energy.mean, abs=1e-12)
 
+    def test_weight_zero_lines_do_not_move_the_vmc_estimate(self, tmp_path):
+        # The standard error is the ratio one in every sampled mode, so
+        # records of weight 0 change neither the mean nor its error.
+        h = build_tfi(3, 0.5)
+        p = random_init(3, 3, 0.3, 7, True)
+        log = tmp_path / "vmc.log"
+        original = compute_a_c_sampled(
+            p, h, 400, np.random.default_rng(9), mode="vmc", sample_log=log
+        )
+        _, zmat, weights = read_sample_log(log)
+        padded = tmp_path / "vmc-padded.log"
+        extra = zmat[np.random.default_rng(1).integers(0, zmat.shape[0], 100)]
+        write_sample_log(
+            padded, None, np.concatenate([zmat, extra]),
+            np.concatenate([weights, np.zeros(100)]),
+        )
+        replayed = compute_a_c_from_log(p, h, padded)
+        assert replayed.energy.mean == pytest.approx(original.energy.mean, rel=1e-12)
+        assert replayed.energy.std_error == pytest.approx(
+            original.energy.std_error, rel=1e-12
+        )
+
 
 class TestSrStructuralIdentities:
     # Each slot's log-derivative is a distinct column x (Re slot) or i*x (Im

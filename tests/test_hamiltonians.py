@@ -6,6 +6,9 @@ from conftest import dense_from_terms, kron_chain, random_pauli_hamiltonian, PAU
 from ucrbm.errors import HermiticityError, PauliFileError, SizeCapError
 from ucrbm.hamiltonians import (
     BUNDLED_FILES,
+    _bits_word,
+    _word_bits,
+    _word_product,
     FermionTerm,
     PauliHamiltonian,
     TqdParams,
@@ -120,6 +123,23 @@ class TestJordanWigner:
                 anti = ap @ aq_dag + aq_dag @ ap
                 expected = np.eye(1 << n) if p == q else np.zeros((1 << n, 1 << n))
                 assert np.max(np.abs(anti - expected)) < 1e-12
+
+    def test_bit_product_matches_dense_product(self):
+        # All 16 single-qubit pairs, then random three-qubit word pairs.
+        rng = np.random.default_rng(3)
+        pairs = [(a, b) for a in "IXYZ" for b in "IXYZ"]
+        pairs += [
+            tuple("".join(rng.choice(list("IXYZ"), 3)) for _ in range(2))
+            for _ in range(64)
+        ]
+        for w1, w2 in pairs:
+            n = len(w1)
+            phase, (x3, z3) = _word_product(_word_bits(w1), _word_bits(w2))
+            expected = kron_chain([PAULI[c] for c in w1]) @ kron_chain(
+                [PAULI[c] for c in w2]
+            )
+            product = phase * kron_chain([PAULI[c] for c in _bits_word(x3, z3, n)])
+            assert np.array_equal(product, expected), (w1, w2)
 
 
 class TestTqd:

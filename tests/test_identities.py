@@ -43,7 +43,7 @@ class TestDecoupleMonomial:
         assert len(offsets) == 1
 
     def test_every_degree_mod_four_certifies(self):
-        for degree in (1, 2, 3, 4):
+        for degree in range(1, 9):
             dec = decouple_monomial(0.25 + 0.1j, degree)
             assert dec.max_deviation <= 1e-8
 
