@@ -2,10 +2,13 @@
 
 Kernel inputs are plain arrays; the wrapping modules own validation.
 
-``local_energy_batch`` takes the hidden angles theta = m + zW of its rows
-from the caller, which also feeds them to the log-derivative columns, and
-forms each amplitude ratio psi(z')/psi(z) from the flipped sites alone
-(the cached-angle update of Carleo & Troyer, Science 355, 602 (2017)).
+Both kernels take the hidden angles theta = m + zW of their rows from the
+caller, which also feeds them to the log-derivative columns, so one theta
+pass serves a batch.  ``logpsi_batch`` gives the log-amplitudes (exact mode
+builds its statevector from them).  ``local_energy_batch`` serves the
+sampled modes: it forms each amplitude ratio psi(z')/psi(z) from the flipped
+sites alone (the cached-angle update of Carleo & Troyer, Science 355, 602
+(2017)); exact mode gathers H psi from the full statevector instead.
 Under the unitary-coupled restriction the coupling sums over the flipped
 sites are imaginary, so the ratio needs only cos/sin and cannot overflow.
 Unrestricted couplings keep the ratio in logs: the direct form
@@ -30,9 +33,9 @@ def logcosh(x: np.ndarray) -> np.ndarray:
     return sx + np.log(1.0 + np.exp(-2.0 * sx)) + _LOG_HALF
 
 
-def logpsi_batch(zmat, b, m, w):
-    """Unnormalized log-amplitudes for a (K, N) batch of spin rows."""
-    theta = m[None, :] + zmat @ w
+def logpsi_batch(zmat, theta, b):
+    """Unnormalized log-amplitudes for a (K, N) batch of spin rows with
+    hidden angles ``theta``."""
     return zmat @ b + logcosh(theta).sum(axis=1)
 
 

@@ -12,13 +12,19 @@ Three estimation modes share one accumulation path:
 Every sampled quantity (all A entries, the C vector, and the energy) is
 accumulated from the same sample stream: one state preparation per sample.
 
-Per-configuration work runs once per distinct configuration with positive
-weight: sampled rows are keyed by their packed bits and their weights
-summed, rows of weight 0 are dropped (exact enumeration can give a row
-probability 0.0 and an infinite amplitude ratio), and one hidden-angle pass
-theta = m + zW per row feeds both the local-energy kernel and the derivative
-columns.  Means, standard errors and preparation counts stay per sample,
-with local energies gathered back through the map from samples to rows.
+Exact mode makes one dense pass over the 2^N configurations: one
+hidden-angle pass theta = m + zW gives the amplitudes psi (log cosh theta)
+and the derivative columns (tanh theta), and H psi comes from the
+``apply_h`` gather.  e = conj(psi) H psi is p E_loc with no division, so no
+row of vanishing amplitude can enter as 0 * inf and none is dropped.
+
+The sampled modes go through ``_evaluate``, which works once per distinct
+configuration with positive weight: rows are keyed by their packed bits and
+their weights summed, rows of weight 0 are dropped, and one hidden-angle
+pass per row feeds both the flipped-site local-energy kernel and the
+derivative columns.  Means, standard errors and preparation counts stay per
+sample, with local energies gathered back through the map from samples to
+rows.
 
 Each real slot's log-derivative is one of the N + M + N*M distinct complex
 columns x = (z_i, tanh theta_j, z_i tanh theta_j) or i times one.  A and C
@@ -48,8 +54,10 @@ from .rbm import (
     hidden_angles,
     log_amplitude,
     log_derivative_columns,
+    statevector_from_angles,
 )
 from .spins import all_spin_configs, as_spins, spins_to_string, string_to_spins
+from .statevector import check_cap
 
 # Sign relating the raw covariance Re(<O_m^dag H> - <O_m^dag><H>) to the
 # update direction: fixed once by the finite-difference gradient validation
@@ -211,34 +219,27 @@ def _local_energies(params, h, rows, theta) -> np.ndarray:
     )
 
 
-def _evaluate(params, h, zmat, wn, distinct):
-    """Evaluate each distinct configuration with positive weight once.
+def _evaluate(params, h, zmat, wn):
+    """Evaluate each distinct sampled configuration with positive weight once.
 
     Returns those rows (float), their summed normalized weights, their
     hidden angles and local energies, and the local energy of every sample
-    (0 for a sample of weight 0).  ``distinct`` says the rows of ``zmat``
-    are distinct already (exact mode), so they keep their order.
+    (0 for a sample of weight 0).
     """
-    if distinct:
-        rows, row_w, inverse = zmat, wn, None
-    else:
-        rows, row_w, inverse = _distinct_rows(zmat, wn)
-    # Rows of weight 0 are dropped: their ratios may overflow (0 * inf).
+    rows, row_w, inverse = _distinct_rows(zmat, wn)
+    # Rows of weight 0 carry nothing and are dropped; a row of vanishing
+    # amplitude could overflow its ratios (0 * inf).
     keep = row_w > 0.0
     rows = np.ascontiguousarray(rows[keep], dtype=np.float64)
     theta = hidden_angles(params, rows)
     eloc_rows = _local_energies(params, h, rows, theta)
     eloc = np.zeros(keep.shape[0], dtype=np.complex128)
     eloc[keep] = eloc_rows
-    if inverse is not None:
-        eloc = eloc[inverse]
-    return rows, row_w[keep], theta, eloc_rows, eloc
+    return rows, row_w[keep], theta, eloc_rows, eloc[inverse]
 
 
 def _energy_estimate(eloc_real, weights, weight_sum, mode, n_samples) -> Estimate:
     mean = float(weights @ eloc_real / weight_sum)
-    if mode == "exact":
-        return Estimate(mean=mean, std_error=0.0, n_samples=0, mode="exact")
     # Ratio standard error of the self-normalized mean; for unit weights it
     # is sqrt((K - 1) / K) times the i.i.d. sqrt(var / K).
     resid = weights * (eloc_real - mean)
@@ -257,7 +258,7 @@ def _check_weights(weights) -> float:
 
 def _sampled_energy(params, h, zmat, weights, mode, n_samples) -> Estimate:
     weight_sum = _check_weights(weights)
-    eloc = _evaluate(params, h, zmat, weights / weight_sum, False)[-1]
+    eloc = _evaluate(params, h, zmat, weights / weight_sum)[-1]
     return _energy_estimate(eloc.real, weights, weight_sum, mode, n_samples)
 
 
@@ -293,9 +294,9 @@ def expectation_ensemble(
 # stochastic-reconfiguration system
 
 
-def _column_moments(x, wn, eloc):
-    """S = E[conj(x) x^T] - E[conj(x)] E[x]^T and F = E[conj(x) (E_loc -
-    mean E_loc)] over the distinct derivative columns x (centred in place)."""
+def _covariance(x, wn):
+    """S = E[conj(x) x^T] - E[conj(x)] E[x]^T over the distinct derivative
+    columns x, which are centred in place; also returns wn * conj(x)."""
     # Averaging S with its conjugate transpose makes it Hermitian bitwise,
     # so its diagonal sum_k w_k |x_k - mean x|^2 is real and each column's
     # Re/Im pair entry of A, -Im S_xx, is exactly 0.
@@ -303,36 +304,59 @@ def _column_moments(x, wn, eloc):
     xw = x.conj()
     xw *= wn[:, None]
     s = xw.T @ x
-    f = xw.T @ (eloc - complex(wn @ eloc))
-    return 0.5 * (s + s.conj().T), f
+    return 0.5 * (s + s.conj().T), xw
+
+
+def _sampled_moments(x, wn, eloc):
+    """S and F = E[conj(x) (E_loc - mean E_loc)] over sampled rows."""
+    s, xw = _covariance(x, wn)
+    return s, xw.T @ (eloc - complex(wn @ eloc))
+
+
+def _slot_system(params, s, f, energy, n_preparations) -> SrSystem:
+    # Slot blocks: Re S (Re/Re, Im/Im), -Im S (Re row, Im column), +Im S
+    # (Im row, Re column); C takes Re F in Re slots and Im F in Im slots.
+    slots = VariationalIndex.for_params(params).slot_columns()
+    a = np.block([[s.real, -s.imag], [s.imag, s.real]])[slots][:, slots]
+    c = C_SIGN * np.concatenate([f.real, f.imag])[slots]
+    return SrSystem(a=a, c=c, energy=energy, n_preparations=n_preparations)
 
 
 def _assemble_system(params, h, zmat, weights, mode, n_samples, n_preparations):
     weight_sum = _check_weights(weights)
     rows, row_w, theta, eloc_rows, eloc = _evaluate(
-        params, h, zmat, weights / weight_sum, mode == "exact"
+        params, h, zmat, weights / weight_sum
     )
     # The (U, D) column arrays are freed before A is built: held here, they
     # raised the ensemble workload's peak RSS by about 5 MB.
-    s, f = _column_moments(log_derivative_columns(rows, theta), row_w, eloc_rows)
-
-    # Slot blocks: Re S (Re/Re, Im/Im), -Im S (Re row, Im column), +Im S
-    # (Im row, Re column); C takes Re F in Re slots and Im F in Im slots.
-    slots = VariationalIndex.for_params(params).slot_columns()
-    a = np.block([[s.real, -s.imag], [s.imag, s.real]])[np.ix_(slots, slots)]
-    c = C_SIGN * np.concatenate([f.real, f.imag])[slots]
-
+    s, f = _sampled_moments(log_derivative_columns(rows, theta), row_w, eloc_rows)
     energy = _energy_estimate(eloc.real, weights, weight_sum, mode, n_samples)
-    return SrSystem(a=a, c=c, energy=energy, n_preparations=n_preparations)
+    return _slot_system(params, s, f, energy, n_preparations)
 
 
 def compute_a_c_exact(
     params: RbmParams, h: PauliHamiltonian, cap: int = DEFAULT_STATEVECTOR_CAP
 ) -> SrSystem:
-    """A and C with expectations taken over the exact statevector."""
-    psi = exact_statevector(params, cap)
-    zmat = all_spin_configs(params.n_visible)
-    return _assemble_system(params, h, zmat, psi.probabilities(), "exact", 0, 0)
+    """A and C with expectations taken over the exact statevector.
+
+    One theta pass over the 2^N configurations gives psi and the derivative
+    columns x.  With p = |psi|^2 and e = conj(psi) H psi = p E_loc, the
+    energy is E = sum e and F = sum conj(x - mean x) (e - p E).
+    """
+    n = params.n_visible
+    check_cap(n, cap)
+    zmat = all_spin_configs(n).astype(np.float64)
+    theta = hidden_angles(params, zmat)
+    psi = statevector_from_angles(params, zmat, theta)
+    e = psi.amplitudes.conj() * apply_h(h, psi).amplitudes
+    p = psi.probabilities()
+    energy = complex(e.sum())
+
+    x = log_derivative_columns(zmat, theta)
+    s, _ = _covariance(x, p)
+    f = ((e - p * energy).conj() @ x).conj()
+    estimate = Estimate(mean=energy.real, std_error=0.0, n_samples=0, mode="exact")
+    return _slot_system(params, s, f, estimate, 0)
 
 
 def compute_a_c_sampled(

@@ -175,7 +175,7 @@ def log_amplitude_batch(params: RbmParams, zmat: np.ndarray) -> np.ndarray:
     zmat = np.ascontiguousarray(zmat, dtype=np.float64)
     if zmat.ndim != 2 or zmat.shape[1] != params.n_visible:
         raise ValueError(f"batch shape {zmat.shape} does not match N = {params.n_visible}")
-    return _kernels.logpsi_batch(zmat, params.b, params.m, params.w)
+    return _kernels.logpsi_batch(zmat, hidden_angles(params, zmat), params.b)
 
 
 def log_amplitude(params: RbmParams, z) -> complex:
@@ -236,6 +236,15 @@ def exact_statevector(params: RbmParams, cap: int = DEFAULT_STATEVECTOR_CAP) -> 
     amplitude of configuration z sits at its big-endian basis index."""
     n = params.n_visible
     check_cap(n, cap)
-    lp = log_amplitude_batch(params, all_spin_configs(n).astype(np.float64))
+    zmat = all_spin_configs(n).astype(np.float64)
+    return statevector_from_angles(params, zmat, hidden_angles(params, zmat))
+
+
+def statevector_from_angles(
+    params: RbmParams, zmat: np.ndarray, theta: np.ndarray
+) -> StateVector:
+    """``exact_statevector`` from the float rows of ``all_spin_configs`` and
+    their hidden angles, for callers that reuse those angles."""
+    lp = _kernels.logpsi_batch(zmat, theta, params.b)
     amps = np.exp(lp - lp.real.max())
-    return StateVector(n, amps).normalized()
+    return StateVector(params.n_visible, amps).normalized()

@@ -79,18 +79,25 @@ class GradCheckReport:
     fd_gradient: np.ndarray
 
 
-def sr_update(system: SrSystem, lam: float, dtau: float) -> tuple[np.ndarray, float]:
-    """dtau * solve(A + lam*I, C) with an eigenvalue-truncated pseudo-inverse
-    fallback (relative cutoff 1e-10) when the shifted matrix is not positive
-    definite.  Returns (delta_theta, solve residual)."""
+def sr_update(
+    system: SrSystem, lam: float, dtau: float, evals: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
+    """dtau * solve(A + lam*I, C), or an eigenvalue-truncated pseudo-inverse
+    (relative cutoff 1e-10) when the shifted matrix is not positive definite.
+
+    ``evals`` are the ascending eigenvalues of A (``eigvalsh``), computed
+    here when not given; the shifted matrix counts as positive definite when
+    ``evals[0] + lam > 0``.  Returns (delta_theta, solve residual).
+    """
     a, c = system.a, system.c
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(c))):
         raise ValueError("non-finite stochastic-reconfiguration system")
+    if evals is None:
+        evals = np.linalg.eigvalsh(a)
     shifted = a + lam * np.eye(a.shape[0])
-    try:
-        np.linalg.cholesky(shifted)  # certify positive definiteness
+    if evals[0] + lam > 0.0:
         delta = np.linalg.solve(shifted, c)
-    except np.linalg.LinAlgError:
+    else:
         evals, evecs = np.linalg.eigh(shifted)
         cutoff = 1e-10 * max(float(np.abs(evals).max()), np.finfo(float).tiny)
         inv = np.where(evals > cutoff, 1.0 / np.where(evals > cutoff, evals, 1.0), 0.0)
@@ -133,7 +140,7 @@ def ite_run(
     for step in range(cfg.n_steps):
         system = _build_system(params, h, cfg, step)
         evals = np.linalg.eigvalsh(system.a)
-        delta, residual = sr_update(system, cfg.regularization, cfg.dtau)
+        delta, residual = sr_update(system, cfg.regularization, cfg.dtau, evals)
 
         records["step"].append(step)
         records["tau"].append(step * cfg.dtau)

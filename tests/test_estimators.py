@@ -19,9 +19,22 @@ from ucrbm.estimators import (
     read_sample_log,
     write_sample_log,
 )
-from ucrbm.hamiltonians import PauliHamiltonian, build_afh, build_tfi
-from ucrbm.rbm import RbmParams, VariationalIndex, exact_statevector, random_init
-from ucrbm.spins import index_to_spins
+from ucrbm.hamiltonians import (
+    PauliHamiltonian,
+    TqdParams,
+    build_afh,
+    build_tfi,
+    build_tqd,
+    dense_matrix,
+)
+from ucrbm.rbm import (
+    RbmParams,
+    VariationalIndex,
+    exact_statevector,
+    log_derivatives_batch,
+    random_init,
+)
+from ucrbm.spins import all_spin_configs, index_to_spins
 
 
 def zero_params(n, m):
@@ -219,6 +232,31 @@ class TestComputeAcExact:
                     - expectation_exact(index.unflatten(theta - bump), h).mean
                 ) / (2 * step)
                 assert system.c[slot] == pytest.approx(-0.5 * grad, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: build_tfi(3, 0.5), lambda: build_afh(4), lambda: build_tqd(TqdParams(b_field=0.5))],
+        ids=["tfi3", "afh4", "tqd6"],
+    )
+    @pytest.mark.parametrize("unitary", [True, False])
+    def test_matches_covariance_definition(self, build, unitary):
+        # A = Re Cov(O, O) and C = C_SIGN Re Cov(O, E_loc) under p = |psi|^2,
+        # with the slot matrix O and E_loc = (H psi)/psi from the dense matrix.
+        h = build()
+        n = h.n_qubits
+        for seed in range(3):
+            p = random_init(n, 2, 0.3, seed, unitary)
+            psi = exact_statevector(p).amplitudes
+            prob = np.abs(psi) ** 2
+            eloc = (dense_matrix(h) @ psi) / psi
+            o = log_derivatives_batch(p, all_spin_configs(n))
+            o_c = o - prob @ o
+            a = (o_c.conj().T * prob) @ o_c
+            c = C_SIGN * (o_c.conj().T * prob) @ (eloc - prob @ eloc)
+            system = compute_a_c_exact(p, h)
+            np.testing.assert_allclose(system.a, a.real, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(system.c, c.real, rtol=0, atol=1e-12)
+            assert system.energy.mean == pytest.approx((prob @ eloc).real, abs=1e-12)
 
     def test_zero_probability_rows_are_dropped(self):
         # Re b_0 = 400 gives the z_0 = -1 rows probability e^{-1600} = 0.0 and

@@ -57,6 +57,17 @@ class TestSrUpdate:
         delta, _ = sr_update(make_system(a, c), 0.0, 1.0)
         np.testing.assert_allclose(delta, [2.0, 0.0], atol=1e-10)
 
+    def test_negative_shifted_eigenvalue_is_dropped(self):
+        # A + lam*I = diag(1.1, -0.4) is not positive definite: the
+        # pseudo-inverse keeps the positive mode and drops the negative one.
+        a = np.diag([1.0, -0.5])
+        c = np.array([2.0, 3.0])
+        system = make_system(a, c)
+        delta, _ = sr_update(system, 0.1, 1.0)
+        np.testing.assert_allclose(delta, [2.0 / 1.1, 0.0], atol=1e-14)
+        given, _ = sr_update(system, 0.1, 1.0, np.linalg.eigvalsh(a))
+        assert np.array_equal(given, delta)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             sr_update(make_system(np.eye(2), np.array([np.inf, 0.0])), 0.0, 0.01)
