@@ -31,7 +31,11 @@ columns x = (z_i, tanh theta_j, z_i tanh theta_j) or i times one.  A and C
 are therefore derived from the complex covariance of x with itself and with
 the local energy, not from the (K, P) slot matrix, so the structural
 identities of A (the exact zero of each column's Re/Im pair, the equal
-Re/Re and Im/Im blocks, the opposite cross blocks) hold bitwise.
+Re/Re and Im/Im blocks, the opposite cross blocks) hold bitwise.  For
+unrestricted parameters every column has both a Re and an Im slot, A is the
+real form of the D x D covariance S, and the system is handed to the solver
+in that half-size complex form; A and C are built only when read (see
+``SrSystem``).
 """
 
 from __future__ import annotations
@@ -83,23 +87,56 @@ class Estimate:
             raise ValueError("sampled estimates need at least one sample")
 
 
-@dataclass
 class SrSystem:
-    """Stochastic-reconfiguration system: A delta-theta = C at one point."""
+    """Stochastic-reconfiguration system: A delta-theta = C at one point.
 
-    a: np.ndarray
-    c: np.ndarray
-    energy: Estimate
-    n_preparations: int = 0
+    The solver works on ``matrix`` and ``rhs``.  For a system built from A
+    and C these are A and C, and ``slots`` is None.  For unrestricted
+    parameters the estimators build the half-size form instead: every
+    distinct derivative column x has both a Re and an Im slot, so A is the
+    real form of the complex D x D covariance S of x, permuted to slot
+    order.  ``matrix`` is then S, ``rhs`` is C_SIGN F, and ``slots`` maps
+    each slot into [Re u, Im u] for the solution u of the complex system
+    (``to_slots``).  A and C are built from them on first access.
+    """
 
-    def __post_init__(self):
-        if self.a.shape != (self.c.shape[0], self.c.shape[0]):
+    def __init__(self, a, c, energy: Estimate, n_preparations: int = 0):
+        if a.shape != (c.shape[0], c.shape[0]):
             raise ValueError("A/C dimensions are inconsistent")
-        if not np.all(np.isfinite(self.a)):
+        # A is finite and symmetric exactly when S is finite and Hermitian.
+        if not np.all(np.isfinite(a)):
             raise NumericalIntegrityError("A has non-finite entries")
-        asym = float(np.max(np.abs(self.a - self.a.T), initial=0.0))
+        asym = float(np.max(np.abs(a - a.T.conj()), initial=0.0))
         if asym > 1e-10:
             raise NumericalIntegrityError(f"A is asymmetric by {asym:.3e}")
+        self.matrix, self.rhs, self.slots = a, c, None
+        self._a, self._c = a, c
+        self.energy, self.n_preparations = energy, n_preparations
+
+    @classmethod
+    def _half_size(cls, s, g, slots, energy, n_preparations) -> "SrSystem":
+        system = cls(s, g, energy, n_preparations)
+        system.slots = slots
+        system._a = system._c = None
+        return system
+
+    @property
+    def a(self) -> np.ndarray:
+        if self._a is None:
+            self._a, self._c = _real_form(self.matrix, self.rhs, self.slots)
+        return self._a
+
+    @property
+    def c(self) -> np.ndarray:
+        if self._c is None:
+            self._a, self._c = _real_form(self.matrix, self.rhs, self.slots)
+        return self._c
+
+    def to_slots(self, u: np.ndarray) -> np.ndarray:
+        """The real slot vector of a solution u of the solver's system."""
+        if self.slots is None:
+            return u
+        return np.concatenate([u.real, u.imag])[self.slots]
 
 
 def local_observable(params: RbmParams, z, h: PauliHamiltonian) -> complex:
@@ -313,12 +350,23 @@ def _sampled_moments(x, wn, eloc):
     return s, xw.T @ (eloc - complex(wn @ eloc))
 
 
-def _slot_system(params, s, f, energy, n_preparations) -> SrSystem:
+def _real_form(s, g, slots):
     # Slot blocks: Re S (Re/Re, Im/Im), -Im S (Re row, Im column), +Im S
-    # (Im row, Re column); C takes Re F in Re slots and Im F in Im slots.
-    slots = VariationalIndex.for_params(params).slot_columns()
+    # (Im row, Re column); C takes Re g in Re slots and Im g in Im slots.
     a = np.block([[s.real, -s.imag], [s.imag, s.real]])[slots][:, slots]
-    c = C_SIGN * np.concatenate([f.real, f.imag])[slots]
+    return a, np.concatenate([g.real, g.imag])[slots]
+
+
+def _slot_system(params, s, f, energy, n_preparations) -> SrSystem:
+    index = VariationalIndex.for_params(params)
+    slots = index.slot_columns()
+    g = C_SIGN * f
+    # Unrestricted slots pair every distinct column, so A is the real form
+    # of S and the solver takes the half-size complex system.  The
+    # unitary-coupled slots lack Re w, and A is no real form.
+    if not index.unitary_coupled:
+        return SrSystem._half_size(s, g, slots, energy, n_preparations)
+    a, c = _real_form(s, g, slots)
     return SrSystem(a=a, c=c, energy=energy, n_preparations=n_preparations)
 
 

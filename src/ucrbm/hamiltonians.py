@@ -430,16 +430,28 @@ def connected_states(h: PauliHamiltonian, z) -> list[tuple[np.ndarray, complex]]
     return out
 
 
+@functools.lru_cache(maxsize=8)
+def _gather_table(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (2^N, C) ket indices k ^ flip_bits[g] and matrix elements
+    H(k, k ^ flip_bits[g]) over every basis index k, built once per
+    Hamiltonian for ``apply_h``."""
+    struct = connected_structure(h)
+    n = h.n_qubits
+    kets = np.arange(1 << n)[:, None] ^ struct.flip_bits[None, :]
+    elements = struct.elements(all_spin_configs(n))
+    kets.flags.writeable = False
+    elements.flags.writeable = False
+    return kets, elements
+
+
 def apply_h(h: PauliHamiltonian, state: StateVector) -> StateVector:
     """Matrix-free H|state> as a gather over the connected structure:
     (H psi)[k] = sum_g H(k, k ^ flip_bits[g]) psi[k ^ flip_bits[g]]."""
     if state.n_qubits != h.n_qubits:
         raise ValueError("state and Hamiltonian qubit counts differ")
-    struct = connected_structure(h)
-    n = h.n_qubits
-    kets = np.arange(1 << n)[:, None] ^ struct.flip_bits[None, :]
-    out = struct.elements(all_spin_configs(n)) * state.amplitudes[kets]
-    return StateVector(n, out.sum(axis=1))
+    kets, elements = _gather_table(h)
+    out = elements * state.amplitudes[kets]
+    return StateVector(h.n_qubits, out.sum(axis=1))
 
 
 def dense_matrix(h: PauliHamiltonian, cap: int = DENSE_CAP) -> np.ndarray:

@@ -247,4 +247,4 @@ def statevector_from_angles(
     their hidden angles, for callers that reuse those angles."""
     lp = _kernels.logpsi_batch(zmat, theta, params.b)
     amps = np.exp(lp - lp.real.max())
-    return StateVector(params.n_visible, amps).normalized()
+    return StateVector(params.n_visible, amps / np.linalg.norm(amps))

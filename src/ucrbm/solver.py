@@ -2,9 +2,16 @@
 
 Each step builds the SR system in the configured estimation mode, solves
 the regularized linear system (A + lambda*I) delta = C, and advances the
-flattened parameter vector by dtau * delta.  The two-stage initialization
-first optimizes a bias-only product ansatz, then re-seeds the hidden
-structure at the random-init scale.
+flattened parameter vector by dtau * delta.  For unrestricted parameters the
+real P x P matrix A is the real form of the complex Hermitian covariance S
+of the D = P/2 distinct derivative columns, so the step solves the
+half-size complex system (S + lambda) u = C_SIGN F (the holomorphic SR of
+Carleo & Troyer, Science 355, 602 (2017)) and reads delta off Re u and
+Im u; every eigenvalue of A is one of S, taken twice, so the spectrum that
+decides the solve and enters the trace comes from S.  Unitary-coupled
+parameters lack the Re w slots, A is no real form, and they keep the real
+solve.  The two-stage initialization first optimizes a bias-only product
+ansatz, then re-seeds the hidden structure at the random-init scale.
 """
 
 from __future__ import annotations
@@ -53,6 +60,15 @@ class IteConfig:
 
 @dataclass(frozen=True)
 class IteTrace:
+    """Per-step record of an ITE run.
+
+    ``min_eig_a`` and ``max_eig_a`` are the extreme eigenvalues of A at each
+    step.  A is positive semi-definite by construction, but eigenvalues are
+    only resolved to about P * eps * max_eig_a (P slots, eps the float64
+    machine epsilon): a ``min_eig_a`` within that floor of 0, of either
+    sign, cannot tell a rank-deficient A from an indefinite one.
+    """
+
     steps: np.ndarray
     taus: np.ndarray
     energies: np.ndarray
@@ -85,25 +101,30 @@ def sr_update(
     """dtau * solve(A + lam*I, C), or an eigenvalue-truncated pseudo-inverse
     (relative cutoff 1e-10) when the shifted matrix is not positive definite.
 
-    ``evals`` are the ascending eigenvalues of A (``eigvalsh``), computed
-    here when not given; the shifted matrix counts as positive definite when
+    The solve runs on ``system.matrix`` and ``system.rhs``: A and C, or for
+    unrestricted parameters the half-size complex system (S + lam) u =
+    C_SIGN F, whose solution ``system.to_slots`` maps to delta.  Every
+    eigenvalue of A is one of S, taken twice, so both forms give the same
+    spectrum, truncation and residual norm.  ``evals`` are the ascending
+    eigenvalues of ``system.matrix`` (``eigvalsh``), computed here when not
+    given; the shifted matrix counts as positive definite when
     ``evals[0] + lam > 0``.  Returns (delta_theta, solve residual).
     """
-    a, c = system.a, system.c
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(c))):
+    mat, rhs = system.matrix, system.rhs
+    if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(rhs))):
         raise ValueError("non-finite stochastic-reconfiguration system")
     if evals is None:
-        evals = np.linalg.eigvalsh(a)
-    shifted = a + lam * np.eye(a.shape[0])
+        evals = np.linalg.eigvalsh(mat)
+    shifted = mat + lam * np.eye(mat.shape[0])
     if evals[0] + lam > 0.0:
-        delta = np.linalg.solve(shifted, c)
+        u = np.linalg.solve(shifted, rhs)
     else:
         evals, evecs = np.linalg.eigh(shifted)
         cutoff = 1e-10 * max(float(np.abs(evals).max()), np.finfo(float).tiny)
         inv = np.where(evals > cutoff, 1.0 / np.where(evals > cutoff, evals, 1.0), 0.0)
-        delta = evecs @ (inv * (evecs.T @ c))
-    residual = float(np.linalg.norm(shifted @ delta - c))
-    return dtau * delta, residual
+        u = evecs @ (inv * (evecs.T.conj() @ rhs))
+    residual = float(np.linalg.norm(shifted @ u - rhs))
+    return dtau * system.to_slots(u), residual
 
 
 def _build_system(params, h, cfg: IteConfig, step: int) -> SrSystem:
@@ -139,7 +160,7 @@ def ite_run(
     )}
     for step in range(cfg.n_steps):
         system = _build_system(params, h, cfg, step)
-        evals = np.linalg.eigvalsh(system.a)
+        evals = np.linalg.eigvalsh(system.matrix)
         delta, residual = sr_update(system, cfg.regularization, cfg.dtau, evals)
 
         records["step"].append(step)

@@ -494,6 +494,23 @@ class TestSrSystemValidation:
         with pytest.raises(NumericalIntegrityError):
             SrSystem(np.full((2, 2), np.nan), np.zeros(2), Estimate(0.0, 0.0, 0, "exact"))
 
+    @pytest.mark.parametrize("bad, message", [(np.nan, "non-finite"), (1e-6j, "asymmetric")])
+    def test_half_size_system_is_validated(self, monkeypatch, bad, message):
+        # unrestricted parameters hand the solver the complex S in place of
+        # A: it must be finite and Hermitian, as A must be finite and symmetric
+        import ucrbm.estimators
+
+        covariance = ucrbm.estimators._covariance
+
+        def broken(x, wn):
+            s, xw = covariance(x, wn)
+            s[0, 1] += bad
+            return s, xw
+
+        monkeypatch.setattr(ucrbm.estimators, "_covariance", broken)
+        with pytest.raises(NumericalIntegrityError, match=message):
+            compute_a_c_exact(random_init(2, 2, 0.1, 0, False), build_tfi(2, 0.5))
+
 
 class TestEstimateValidation:
     def test_rejects_unknown_mode(self):

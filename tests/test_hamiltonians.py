@@ -7,6 +7,7 @@ from ucrbm.errors import HermiticityError, PauliFileError, SizeCapError
 from ucrbm.hamiltonians import (
     BUNDLED_FILES,
     _bits_word,
+    _gather_table,
     _word_bits,
     _word_product,
     FermionTerm,
@@ -292,6 +293,25 @@ class TestApplication:
             out = apply_h(h, state)
             expected = dense_from_terms(h.terms, 4) @ state.amplitudes
             assert np.max(np.abs(out.amplitudes - expected)) < 1e-12
+
+    def test_interleaved_hamiltonians_of_equal_size(self):
+        # apply_h keeps a gather table per Hamiltonian: alternating models on
+        # the same qubit count must each get their own rows and elements
+        rng = np.random.default_rng(12)
+        hams = [build_tfi(4, 0.5), build_tfi(4, 1.0), build_afh(4),
+                random_pauli_hamiltonian(rng, 4, 9)]
+        dense = [dense_matrix(h) for h in hams]
+        for _ in range(3):
+            for h, mat in zip(hams, dense):
+                psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+                out = apply_h(h, StateVector(4, psi)).amplitudes
+                assert np.max(np.abs(out - mat @ psi)) < 1e-12
+
+    def test_gather_table_is_read_only(self):
+        kets, elements = _gather_table(build_afh(3))
+        for arr in (kets, elements):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
 
     def test_connected_states_match_dense_rows(self):
         rng = np.random.default_rng(8)

@@ -8,11 +8,13 @@ from ucrbm.rbm import (
     RbmParams,
     VariationalIndex,
     exact_statevector,
+    hidden_angles,
     log_amplitude,
     log_amplitude_batch,
     log_derivatives,
     r_factor,
     random_init,
+    statevector_from_angles,
 )
 from ucrbm.spins import all_spin_configs, index_to_spins, spins_to_index
 
@@ -138,6 +140,33 @@ class TestExactStatevector:
     def test_cap_enforced(self):
         with pytest.raises(SizeCapError):
             exact_statevector(zero_params(5, 0), cap=4)
+
+    def test_one_validated_construction(self, monkeypatch):
+        # normalizing before the one StateVector keeps the amplitudes of
+        # StateVector(...).normalized() bitwise, with one finite check
+        from ucrbm import _kernels
+        from ucrbm.statevector import StateVector
+
+        p = random_init(4, 3, 0.4, 6, False)
+        zmat = all_spin_configs(4).astype(np.float64)
+        theta = hidden_angles(p, zmat)
+        lp = _kernels.logpsi_batch(zmat, theta, p.b)
+        two_pass = StateVector(4, np.exp(lp - lp.real.max())).normalized()
+
+        checks = []
+        validate = StateVector.__post_init__
+
+        def counted(self):
+            checks.append(self)
+            validate(self)
+
+        monkeypatch.setattr(StateVector, "__post_init__", counted)
+        sv = statevector_from_angles(p, zmat, theta)
+        assert len(checks) == 1
+        assert np.array_equal(sv.amplitudes, two_pass.amplitudes)
+        theta[3, 1] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            statevector_from_angles(p, zmat, theta)
 
 
 class TestLogDerivatives:

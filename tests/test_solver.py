@@ -3,8 +3,14 @@ import pytest
 import scipy.optimize
 
 from ucrbm.errors import NumericalIntegrityError
-from ucrbm.estimators import SrSystem, Estimate, compute_a_c_exact, expectation_exact
-from ucrbm.hamiltonians import build_afh, build_tfi, load_bundled
+from ucrbm.estimators import (
+    SrSystem,
+    Estimate,
+    compute_a_c_exact,
+    compute_a_c_sampled,
+    expectation_exact,
+)
+from ucrbm.hamiltonians import TqdParams, build_afh, build_tfi, build_tqd, load_bundled
 from ucrbm.rbm import RbmParams, VariationalIndex, random_init
 from ucrbm.solver import (
     IteConfig,
@@ -71,6 +77,69 @@ class TestSrUpdate:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             sr_update(make_system(np.eye(2), np.array([np.inf, 0.0])), 0.0, 0.01)
+
+
+def unrestricted_systems():
+    for h in (build_tfi(3, 0.7), build_afh(4), build_tqd(TqdParams(b_field=0.5))):
+        p = random_init(h.n_qubits, 2, 0.1, 3, False)
+        yield compute_a_c_exact(p, h)
+    p = random_init(3, 2, 0.1, 3, False)
+    yield compute_a_c_sampled(p, build_tfi(3, 0.7), 2000, np.random.default_rng(1))
+
+
+class TestHalfSizeSystem:
+    """Unrestricted parameters pair every distinct column's Re and Im slot,
+    so the solver takes the complex D x D system (S + lam) u = C_SIGN F in
+    place of the real P x P one; both must give the same step."""
+
+    def test_step_matches_real_solve(self):
+        lam = 1e-3
+        for system in unrestricted_systems():
+            assert system.slots is not None
+            a, c = system.a, system.c
+            shifted = a + lam * np.eye(a.shape[0])
+            expected = np.linalg.solve(shifted, c)
+            delta, residual = sr_update(system, lam, 1.0)
+            assert np.linalg.norm(delta - expected) <= 1e-12 * np.linalg.norm(expected)
+            real_residual = np.linalg.norm(shifted @ delta - c)
+            assert abs(residual - real_residual) <= 1e-12 * np.linalg.norm(c)
+
+    def test_spectrum_of_a_is_that_of_s_twice(self):
+        for system in unrestricted_systems():
+            evals_a = np.linalg.eigvalsh(system.a)
+            evals_s = np.linalg.eigvalsh(system.matrix)
+            assert evals_s.shape[0] * 2 == evals_a.shape[0]
+            np.testing.assert_allclose(
+                np.repeat(evals_s, 2), evals_a, rtol=0, atol=1e-13 * evals_a[-1]
+            )
+
+    def test_pseudo_inverse_matches_real_form(self):
+        # at zero parameters every hidden column vanishes, so A has exact
+        # zero rows and lam = 0 takes the truncated pseudo-inverse
+        params = RbmParams(
+            b=np.zeros(3, complex), m=np.zeros(2, complex), w=np.zeros((3, 2), complex)
+        )
+        system = compute_a_c_exact(params, build_tfi(3, 0.7))
+        assert system.slots is not None
+        assert np.linalg.eigvalsh(system.matrix)[0] <= 0.0
+        assert np.any(np.all(system.a == 0.0, axis=1))
+        delta, residual = sr_update(system, 0.0, 1.0)
+        real_delta, real_residual = sr_update(make_system(system.a, system.c), 0.0, 1.0)
+        np.testing.assert_allclose(delta, real_delta, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(delta, np.linalg.pinv(system.a) @ system.c, atol=1e-12)
+        assert residual == pytest.approx(real_residual, abs=1e-12)
+
+    def test_dropped_modes_match_real_form(self):
+        # a shift into the widest gap of a complex S leaves the lower modes
+        # negative: both forms drop the same modes and give the same step
+        for system in unrestricted_systems():
+            evals = np.linalg.eigvalsh(system.matrix)
+            j = int(np.argmax(np.diff(evals)))
+            lam = -0.5 * (evals[j] + evals[j + 1])
+            delta, residual = sr_update(system, lam, 1.0)
+            real_delta, real_residual = sr_update(make_system(system.a, system.c), lam, 1.0)
+            assert np.linalg.norm(delta - real_delta) <= 1e-12 * np.linalg.norm(real_delta)
+            assert residual == pytest.approx(real_residual, rel=1e-12)
 
 
 class TestIteRun:
@@ -198,6 +267,18 @@ class TestIteRun:
             IteConfig(regularization=-1e-3)
         with pytest.raises(ValueError):
             IteConfig(mode="metropolis")
+
+
+    def test_min_eigenvalue_stays_within_rounding_of_psd(self):
+        # A is PSD by construction; the trace's smallest eigenvalue may dip
+        # below 0 only by the rounding floor P * eps * max_eig_A
+        h = build_tqd(TqdParams(b_field=0.5))
+        p0 = random_init(6, 6, 0.1, 2, False)
+        cfg = IteConfig(n_steps=300, regularization=1e-4, convergence_threshold=0.0)
+        _, trace = ite_run(p0, h, cfg)
+        floor = VariationalIndex.for_params(p0).size * np.finfo(float).eps
+        assert trace.n_steps == 300
+        assert np.all(trace.min_eig_a >= -floor * trace.max_eig_a)
 
 
 class TestMeanFieldStage:
