@@ -268,7 +268,6 @@ class TestIteRun:
         with pytest.raises(ValueError):
             IteConfig(mode="metropolis")
 
-
     def test_min_eigenvalue_stays_within_rounding_of_psd(self):
         # A is PSD by construction; the trace's smallest eigenvalue may dip
         # below 0 only by the rounding floor P * eps * max_eig_A
