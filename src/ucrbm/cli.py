@@ -10,7 +10,6 @@ identity sweeps).  Exit codes: 0 success, 1 usage, 2 compute error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -86,11 +85,6 @@ def _add_ansatz_flags(parser):
     group = parser.add_argument_group("ansatz")
     group.add_argument("--alpha", type=float, default=None, help="hidden/visible ratio")
     group.add_argument("--m-hidden", type=int, default=None, help="explicit hidden count")
-    group.add_argument(
-        "--unrestricted",
-        action="store_true",
-        help="allow Re(W) != 0 (exact estimator mode only)",
-    )
     group.add_argument("--init-std", type=float, default=0.1, help="init stddev")
     group.add_argument("--seed", type=int, default=0)
 
@@ -130,10 +124,6 @@ def _resolve_hidden(args, n: int) -> int:
     if alpha < 0:
         raise UsageError("--alpha must be non-negative")
     return int(round(alpha * n))
-
-
-def _default_threads() -> int:
-    return max(1, os.cpu_count() or 1)
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +191,8 @@ def _write_final_params(path, params) -> None:
 
 
 def cmd_ite(args) -> int:
+    if args.unrestricted and args.mode == "ensemble":
+        raise UsageError("--unrestricted cannot run in ensemble mode")
     h = _resolve_model(args)
     n = h.n_qubits
     m = _resolve_hidden(args, n)
@@ -215,7 +207,6 @@ def cmd_ite(args) -> int:
         mean_field_steps=args.mean_field_steps,
         convergence_window=args.conv_window,
         convergence_threshold=args.conv_threshold,
-        n_threads=args.threads,
     )
     if args.mean_field:
         params0 = mean_field_stage(
@@ -275,12 +266,10 @@ def cmd_sample_bench(args) -> int:
 
     exact = expectation_exact(params, h)
     vmc = expectation_vmc(
-        params, h, args.n_samples, np.random.default_rng([args.seed, 1]),
-        n_threads=args.threads,
+        params, h, args.n_samples, np.random.default_rng([args.seed, 1])
     )
     ens = expectation_ensemble(
-        params, h, args.n_samples, np.random.default_rng([args.seed, 2]),
-        n_threads=args.threads,
+        params, h, args.n_samples, np.random.default_rng([args.seed, 2])
     )
 
     print(f"{'mode':<10}{'mean':>18}{'std_error':>14}{'z':>10}")
@@ -361,6 +350,11 @@ def build_parser() -> _Parser:
     p_ite = sub.add_parser("ite", help="imaginary-time ground-state run")
     _add_model_flags(p_ite)
     _add_ansatz_flags(p_ite)
+    p_ite.add_argument(
+        "--unrestricted",
+        action="store_true",
+        help="allow Re(W) != 0 (exact and vmc modes; ensemble needs unitary couplings)",
+    )
     p_ite.add_argument("--dtau", type=float, default=0.01)
     p_ite.add_argument("--steps", type=int, default=2000)
     p_ite.add_argument("--reg", type=float, default=1e-3, help="regularization lambda")
@@ -370,7 +364,6 @@ def build_parser() -> _Parser:
     p_ite.add_argument("--mean-field-steps", type=int, default=400)
     p_ite.add_argument("--conv-window", type=int, default=50)
     p_ite.add_argument("--conv-threshold", type=float, default=1e-8)
-    p_ite.add_argument("--threads", type=int, default=_default_threads())
     p_ite.add_argument("--trace-out", default="ucrbm_trace.csv")
     p_ite.add_argument("--params-out", default="ucrbm_params.txt")
     p_ite.add_argument("--snapshots-out", default=None)
@@ -385,7 +378,6 @@ def build_parser() -> _Parser:
     _add_model_flags(p_bench)
     _add_ansatz_flags(p_bench)
     p_bench.add_argument("--n-samples", type=int, default=10000)
-    p_bench.add_argument("--threads", type=int, default=_default_threads())
     p_bench.set_defaults(func=cmd_sample_bench)
 
     p_ident = sub.add_parser("identities", help="run the identity suites")

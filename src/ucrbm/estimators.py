@@ -10,7 +10,8 @@ Three estimation modes share one accumulation path:
   reweighted by prod_j R^2_{s_j}; estimators are self-normalized ratios.
 
 Every sampled quantity (all A entries, the C vector, and the energy) is
-accumulated from the same sample stream: one state preparation per sample.
+accumulated from the same sample stream: one state preparation per sample,
+drawn serially from the caller's generator, so a seed fixes the result.
 
 Exact mode makes one dense pass over the 2^N configurations: one
 hidden-angle pass theta = m + zW gives the amplitudes psi (log cosh theta)
@@ -40,14 +41,13 @@ in that half-size complex form; A and C are built only when read (see
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import _kernels
-from .circuit import sample_protocol_batch
+from .circuit import measure_visible, sample_protocol_batch
 from .errors import DegenerateWeightError, NumericalIntegrityError
 from .hamiltonians import PauliHamiltonian, apply_h, connected_states, connected_structure
 from .rbm import (
@@ -67,8 +67,6 @@ from .statevector import check_cap
 # update direction: fixed once by the finite-difference gradient validation
 # (C equals -1/2 of the energy gradient), asserted in the test suite.
 C_SIGN = -1.0
-
-CHUNK_SIZE = 4096
 
 MODES = ("exact", "vmc", "ensemble")
 
@@ -166,69 +164,22 @@ def expectation_exact(
 
 
 # ---------------------------------------------------------------------------
-# sample generation (deterministic chunked streams, thread-parallel)
+# sample generation: one serial stream, one state preparation per sample
 
 
-def _chunk_rngs(rng: np.random.Generator, n_chunks: int) -> list[np.random.Generator]:
-    base = int(rng.integers(0, 2**62))
-    return [np.random.default_rng([base, i]) for i in range(n_chunks)]
-
-
-def _chunk_sizes(n: int) -> list[int]:
-    sizes = [CHUNK_SIZE] * (n // CHUNK_SIZE)
-    if n % CHUNK_SIZE:
-        sizes.append(n % CHUNK_SIZE)
-    return sizes
-
-
-def _run_chunks(worker, chunk_args, n_threads: int):
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            return list(pool.map(worker, chunk_args))
-    return [worker(args) for args in chunk_args]
-
-
-def _draw_vmc(params, n_samples, rng, cap, n_threads):
-    probs = exact_statevector(params, cap).probabilities()
-    probs = probs / probs.sum()
-    zmat_all = all_spin_configs(params.n_visible)
-    sizes = _chunk_sizes(n_samples)
-    rngs = _chunk_rngs(rng, len(sizes))
-
-    def worker(args):
-        size, chunk_rng = args
-        idx = chunk_rng.choice(probs.shape[0], size=size, p=probs)
-        return zmat_all[idx]
-
-    chunks = _run_chunks(worker, list(zip(sizes, rngs)), n_threads)
-    zmat = np.concatenate(chunks, axis=0)
-    return None, zmat, np.ones(n_samples), n_samples
-
-
-def _draw_ensemble(params, n_samples, rng, n_threads):
-    sizes = _chunk_sizes(n_samples)
-    rngs = _chunk_rngs(rng, len(sizes))
-
-    def worker(args):
-        size, chunk_rng = args
-        return sample_protocol_batch(params, size, chunk_rng)
-
-    chunks = _run_chunks(worker, list(zip(sizes, rngs)), n_threads)
-    smat = np.concatenate([c[0] for c in chunks], axis=0)
-    zmat = np.concatenate([c[1] for c in chunks], axis=0)
-    weights = np.concatenate([c[2] for c in chunks])
-    return smat, zmat, weights, n_samples
-
-
-def _draw_samples(params, n_samples, rng, mode, cap, n_threads):
+def _draw_samples(params, n_samples, rng, mode):
+    """(outcomes or None, spins, weights) of ``n_samples`` samples drawn
+    from ``rng``: Born-rule spins from the exact statevector for vmc, or
+    reweighted protocol runs for the ensemble mode."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if mode == "vmc":
-        return _draw_vmc(params, n_samples, rng, cap, n_threads)
+        zmat = measure_visible(exact_statevector(params), n_samples, rng)
+        return None, zmat, np.ones(n_samples)
     if mode == "ensemble":
         if not params.unitary_coupled:
             raise ValueError("the ensemble mode requires unitary couplings")
-        return _draw_ensemble(params, n_samples, rng, n_threads)
+        return sample_protocol_batch(params, n_samples, rng)
     raise ValueError(f"unknown sampling mode {mode!r}")
 
 
@@ -304,11 +255,9 @@ def expectation_vmc(
     h: PauliHamiltonian,
     n_samples: int,
     rng: np.random.Generator,
-    cap: int = DEFAULT_STATEVECTOR_CAP,
-    n_threads: int = 1,
 ) -> Estimate:
     """Mean local observable over z ~ |<z|Psi>|^2 with its standard error."""
-    _, zmat, weights, _ = _draw_samples(params, n_samples, rng, "vmc", cap, n_threads)
+    _, zmat, weights = _draw_samples(params, n_samples, rng, "vmc")
     return _sampled_energy(params, h, zmat, weights, "vmc", n_samples)
 
 
@@ -317,13 +266,10 @@ def expectation_ensemble(
     h: PauliHamiltonian,
     n_samples: int,
     rng: np.random.Generator,
-    n_threads: int = 1,
 ) -> Estimate:
     """Self-normalized estimator over protocol runs: the weighted mean of
     local observables with weights prod_j R^2_{s_j}, ratio standard error."""
-    _, zmat, weights, _ = _draw_samples(
-        params, n_samples, rng, "ensemble", None, n_threads
-    )
+    _, zmat, weights = _draw_samples(params, n_samples, rng, "ensemble")
     return _sampled_energy(params, h, zmat, weights, "ensemble", n_samples)
 
 
@@ -370,7 +316,7 @@ def _slot_system(params, s, f, energy, n_preparations) -> SrSystem:
     return SrSystem(a=a, c=c, energy=energy, n_preparations=n_preparations)
 
 
-def _assemble_system(params, h, zmat, weights, mode, n_samples, n_preparations):
+def _assemble_system(params, h, zmat, weights, mode, n_samples):
     weight_sum = _check_weights(weights)
     rows, row_w, theta, eloc_rows, eloc = _evaluate(
         params, h, zmat, weights / weight_sum
@@ -379,12 +325,10 @@ def _assemble_system(params, h, zmat, weights, mode, n_samples, n_preparations):
     # raised the ensemble workload's peak RSS by about 5 MB.
     s, f = _sampled_moments(log_derivative_columns(rows, theta), row_w, eloc_rows)
     energy = _energy_estimate(eloc.real, weights, weight_sum, mode, n_samples)
-    return _slot_system(params, s, f, energy, n_preparations)
+    return _slot_system(params, s, f, energy, n_samples)
 
 
-def compute_a_c_exact(
-    params: RbmParams, h: PauliHamiltonian, cap: int = DEFAULT_STATEVECTOR_CAP
-) -> SrSystem:
+def compute_a_c_exact(params: RbmParams, h: PauliHamiltonian) -> SrSystem:
     """A and C with expectations taken over the exact statevector.
 
     One theta pass over the 2^N configurations gives psi and the derivative
@@ -392,7 +336,7 @@ def compute_a_c_exact(
     energy is E = sum e and F = sum conj(x - mean x) (e - p E).
     """
     n = params.n_visible
-    check_cap(n, cap)
+    check_cap(n, DEFAULT_STATEVECTOR_CAP)
     zmat = all_spin_configs(n).astype(np.float64)
     theta = hidden_angles(params, zmat)
     psi = statevector_from_angles(params, zmat, theta)
@@ -413,8 +357,6 @@ def compute_a_c_sampled(
     n_samples: int,
     rng: np.random.Generator,
     mode: str = "vmc",
-    cap: int = DEFAULT_STATEVECTOR_CAP,
-    n_threads: int = 1,
     sample_log=None,
 ) -> SrSystem:
     """A, C, and the energy accumulated from one shared sample stream.
@@ -426,21 +368,17 @@ def compute_a_c_sampled(
     covariance of those columns (see the module docstring).  When
     ``sample_log`` is given, the records are written there for replay.
     """
-    smat, zmat, weights, n_preps = _draw_samples(
-        params, n_samples, rng, mode, cap, n_threads
-    )
+    smat, zmat, weights = _draw_samples(params, n_samples, rng, mode)
     if sample_log is not None:
         write_sample_log(sample_log, smat, zmat, weights)
-    return _assemble_system(params, h, zmat, weights, mode, n_samples, n_preps)
+    return _assemble_system(params, h, zmat, weights, mode, n_samples)
 
 
 def compute_a_c_from_log(params: RbmParams, h: PauliHamiltonian, path) -> SrSystem:
     """Replay a recorded sample log; bit-identical to the original system."""
     smat, zmat, weights = read_sample_log(path)
     mode = "vmc" if smat is None else "ensemble"
-    return _assemble_system(
-        params, h, zmat, weights, mode, zmat.shape[0], zmat.shape[0]
-    )
+    return _assemble_system(params, h, zmat, weights, mode, zmat.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -467,10 +405,13 @@ def read_sample_log(path):
         if len(tokens) != 3:
             raise ValueError(f"sample log line {lineno}: expected 3 fields")
         s_tok, z_tok, w_tok = tokens
-        if s_tok == ".":
-            s_rows.append(None)
-        else:
-            s_rows.append(string_to_spins("" if s_tok == "_" else s_tok))
+        s_row = None if s_tok == "." else string_to_spins("" if s_tok == "_" else s_tok)
+        if s_rows and (s_row is None) != (s_rows[0] is None):
+            raise ValueError(
+                f"sample log line {lineno}: mixes '.' records (no hidden outcomes) "
+                "with hidden-outcome records"
+            )
+        s_rows.append(s_row)
         z_rows.append(string_to_spins(z_tok))
         try:
             weight = float(w_tok)

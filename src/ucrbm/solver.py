@@ -45,6 +45,9 @@ class IteConfig:
     mean_field_steps: int = 400
     convergence_window: int = 50
     convergence_threshold: float = 1e-8  # 0 disables early stopping
+    # Sampling is serial and reads no thread count.  The field stays only
+    # because the benchmark harness passes n_threads=1; it goes when the
+    # harness stops passing it.
     n_threads: int = 1
 
     def __post_init__(self):
@@ -56,6 +59,8 @@ class IteConfig:
             raise ValueError("need at least one step")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.n_threads != 1:
+            raise ValueError("sampling is serial: n_threads must be 1")
 
 
 @dataclass(frozen=True)
@@ -137,7 +142,6 @@ def _build_system(params, h, cfg: IteConfig, step: int) -> SrSystem:
             cfg.n_samples,
             np.random.default_rng([cfg.seed, step]),
             mode=cfg.mode,
-            n_threads=cfg.n_threads,
         )
     except (DegenerateWeightError, NumericalIntegrityError) as exc:
         raise type(exc)(f"step {step}: {exc}") from exc

@@ -46,6 +46,24 @@ class TestUsageErrors:
     def test_tfi_needs_length(self):
         assert run_cli(["exact", "--model", "tfi"]) == 1
 
+    def test_sample_bench_has_no_unrestricted_flag(self):
+        # sample-bench always builds unitary-coupled parameters
+        code = run_cli(
+            ["sample-bench", "--model", "tfi", "--n", "2", "--m-hidden", "2",
+             "--n-samples", "100", "--unrestricted"]
+        )
+        assert code == 1
+
+    def test_unrestricted_ensemble_is_refused_before_any_work(self, tmp_path):
+        trace = tmp_path / "t.csv"
+        code = run_cli(
+            ["ite", "--model", "tfi", "--n", "2", "--mode", "ensemble",
+             "--unrestricted", "--mean-field", "--steps", "2",
+             "--trace-out", str(trace), "--params-out", str(tmp_path / "p.txt")]
+        )
+        assert code == 1
+        assert not trace.exists()
+
 
 class TestComputeErrors:
     def test_missing_file_is_compute_error(self):
@@ -62,7 +80,7 @@ class TestIte:
             [
                 "ite", "--model", "afh", "--n", "2", "--steps", "600",
                 "--seed", "5", "--trace-out", str(trace), "--params-out", str(params),
-                "--svg-out", str(svg), "--snapshots-out", str(snaps), "--threads", "1",
+                "--svg-out", str(svg), "--snapshots-out", str(snaps),
             ]
         )
         assert code == 0
@@ -79,7 +97,7 @@ class TestIte:
             "ite", "--model", "tfi", "--n", "2", "--h", "0.5", "--steps", "40",
             "--seed", "3", "--mode", "vmc", "--n-samples", "300",
             "--trace-out", str(tmp_path / name), "--params-out",
-            str(tmp_path / (name + ".params")), "--threads", "2",
+            str(tmp_path / (name + ".params")),
         ]
         assert run_cli(args("a.csv")) == 0
         assert run_cli(args("b.csv")) == 0
@@ -133,7 +151,6 @@ class TestSampleBench:
             [
                 "sample-bench", "--model", "tfi", "--n", "2", "--h", "0.5",
                 "--m-hidden", "2", "--seed", "4", "--n-samples", "4000",
-                "--threads", "1",
             ]
         )
         assert code == 0

@@ -4,7 +4,7 @@ import pytest
 from conftest import dense_from_terms, random_pauli_hamiltonian
 
 from ucrbm.circuit import enumerate_branches
-from ucrbm.errors import DegenerateWeightError, NumericalIntegrityError
+from ucrbm.errors import DegenerateWeightError, NumericalIntegrityError, SizeCapError
 from ucrbm.estimators import (
     C_SIGN,
     Estimate,
@@ -309,23 +309,6 @@ class TestComputeAcSampled:
         assert np.array_equal(a.a, b.a) and np.array_equal(a.c, b.c)
         assert a.energy.mean == b.energy.mean
 
-    def test_thread_count_does_not_change_results(self):
-        h = build_tfi(3, 0.5)
-        p = random_init(3, 3, 0.3, 2, True)
-        one = compute_a_c_sampled(p, h, 9000, np.random.default_rng(5), mode="vmc", n_threads=1)
-        four = compute_a_c_sampled(p, h, 9000, np.random.default_rng(5), mode="vmc", n_threads=4)
-        assert np.array_equal(one.a, four.a)
-        assert np.array_equal(one.c, four.c)
-        one = compute_a_c_sampled(
-            p, h, 9000, np.random.default_rng(5), mode="ensemble", n_threads=1
-        )
-        four = compute_a_c_sampled(
-            p, h, 9000, np.random.default_rng(5), mode="ensemble", n_threads=4
-        )
-        assert np.array_equal(one.a, four.a)
-        assert np.array_equal(one.c, four.c)
-        assert one.energy == four.energy
-
     def test_replay_from_log_is_bitwise_identical(self, tmp_path):
         h = build_tfi(3, 0.5)
         p = random_init(3, 3, 0.3, 7, True)
@@ -387,6 +370,21 @@ class TestComputeAcSampled:
         assert replayed.energy.std_error == pytest.approx(
             original.energy.std_error, rel=1e-12
         )
+
+
+class TestStatevectorCap:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda p, h: compute_a_c_exact(p, h),
+            lambda p, h: compute_a_c_sampled(p, h, 10, np.random.default_rng(0), mode="vmc"),
+        ],
+        ids=["exact", "vmc"],
+    )
+    def test_sr_entry_points_refuse_past_the_cap(self, build):
+        # N = 15 exceeds the fixed statevector cap of 14
+        with pytest.raises(SizeCapError, match="15 qubits"):
+            build(random_init(15, 1, 0.1, 0, True), build_tfi(15, 0.5))
 
 
 class TestSrStructuralIdentities:
@@ -479,6 +477,18 @@ class TestSampleLog:
         path = tmp_path / "bad.log"
         path.write_text("+- ++\n")
         with pytest.raises(ValueError):
+            read_sample_log(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [". ++ 1.0\n+- -+ 0.5\n", "+- ++ 1.0\n. -+ 0.5\n"],
+        ids=["dot-first", "dot-second"],
+    )
+    def test_mixed_hidden_outcomes_rejected(self, tmp_path, text):
+        # a "." record has no hidden outcomes; one log cannot hold both kinds
+        path = tmp_path / "bad.log"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="sample log line 2"):
             read_sample_log(path)
 
     @pytest.mark.parametrize("weight", ["nan", "inf", "-0.5", "abc"])

@@ -268,6 +268,12 @@ class TestIteRun:
         with pytest.raises(ValueError):
             IteConfig(mode="metropolis")
 
+    def test_thread_count_is_pinned(self):
+        # sampling is serial; the field only accepts the value 1
+        assert IteConfig(n_threads=1).n_threads == 1
+        with pytest.raises(ValueError, match="n_threads"):
+            IteConfig(n_threads=2)
+
     def test_min_eigenvalue_stays_within_rounding_of_psd(self):
         # A is PSD by construction; the trace's smallest eigenvalue may dip
         # below 0 only by the rounding floor P * eps * max_eig_A
