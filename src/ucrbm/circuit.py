@@ -19,12 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalIntegrityError, ProtocolOrderError, SizeCapError
-from .rbm import DEFAULT_STATEVECTOR_CAP, RbmParams, r_factor
+from .errors import NumericalIntegrityError, ProtocolOrderError
+from .rbm import RbmParams, r_factor
 from .spins import all_spin_configs
+from .statevector import HIDDEN_CAP, IDENTITY_HIDDEN_CAP, STATEVECTOR_CAP
 from .statevector import StateVector, check_cap
-
-DEFAULT_HIDDEN_CAP = 12
 
 _ANCILLA_PLUS_TOL = 1e-10
 _PROB_SUM_TOL = 1e-8
@@ -165,20 +164,25 @@ def sample_hidden_outcome(
     return -1, minus_state, p_minus
 
 
+def _history_weight(params: RbmParams, s_vec) -> float:
+    """prod_j R_{s_j}(Re m_j)^2 of one outcome history."""
+    weight = 1.0
+    for j in range(params.n_hidden):
+        weight *= r_factor(params.m[j].real, int(s_vec[j])) ** 2
+    return weight
+
+
 def run_recycle_protocol(
-    params: RbmParams,
-    rng: np.random.Generator,
-    shots: int = 0,
-    cap: int = DEFAULT_STATEVECTOR_CAP,
+    params: RbmParams, rng: np.random.Generator, shots: int = 0
 ) -> EnsembleSample:
-    """Execute one full protocol run: visible preparation, then for each
-    hidden unit attach a fresh ancilla, entangle, measure, recycle."""
+    """One protocol run on N + 1 <= STATEVECTOR_CAP qubits: visible preparation,
+    then per hidden unit attach a fresh ancilla, entangle, measure, recycle."""
     if not params.unitary_coupled:
         raise ValueError(
             "the sampling path requires unitary couplings; unrestricted Re(w) "
             "is supported only by the deterministic branch enumeration"
         )
-    check_cap(params.n_visible + 1, cap)
+    check_cap(params.n_visible + 1, STATEVECTOR_CAP)
     state = prepare_visible_product(params)
     outcomes = np.empty(params.n_hidden, dtype=np.int8)
     branch_prob = 1.0
@@ -187,42 +191,29 @@ def run_recycle_protocol(
         s, state, p_j = sample_hidden_outcome(blocked, rng)
         outcomes[j] = s
         branch_prob *= p_j
-    weight = 1.0
-    for j in range(params.n_hidden):
-        weight *= r_factor(params.m[j].real, int(outcomes[j])) ** 2
     z_shots = measure_visible(state, shots, rng) if shots else None
     return EnsembleSample(
         s=outcomes,
         branch_prob=branch_prob,
-        weight=weight,
+        weight=_history_weight(params, outcomes),
         visible_state=state,
         z_shots=z_shots,
     )
 
 
-def enumerate_branches(
-    params: RbmParams,
-    hidden_cap: int = DEFAULT_HIDDEN_CAP,
-    cap: int = DEFAULT_STATEVECTOR_CAP,
-) -> BranchTable:
-    """Deterministically replay the protocol for all 2^M forced outcome
-    histories, reusing shared prefixes of the gate path."""
+def enumerate_branches(params: RbmParams) -> BranchTable:
+    """Replay the protocol for all 2^M forced outcome histories, M <= HIDDEN_CAP,
+    on N + 1 <= STATEVECTOR_CAP qubits, reusing shared prefixes of the gate path."""
     m_hidden = params.n_hidden
-    if m_hidden > hidden_cap:
-        raise SizeCapError(
-            f"{m_hidden} hidden units exceed the branch cap of {hidden_cap}"
-        )
-    check_cap(params.n_visible + 1, cap)
+    check_cap(m_hidden, HIDDEN_CAP, "branch enumeration over {} hidden units")
+    check_cap(params.n_visible + 1, STATEVECTOR_CAP)
 
     rows: list[tuple[np.ndarray, float, float, StateVector, float]] = []
 
     def walk(j: int, state: StateVector, prefix, prob: float, nonunit: float):
         if j == m_hidden:
             s_vec = np.array(prefix, dtype=np.int8)
-            weight = 1.0
-            for jj in range(m_hidden):
-                weight *= r_factor(params.m[jj].real, int(s_vec[jj])) ** 2
-            rows.append((s_vec, prob, weight, state, nonunit))
+            rows.append((s_vec, prob, _history_weight(params, s_vec), state, nonunit))
             return
         if prob == 0.0:
             # unreachable subtree: emit zero rows for all completions
@@ -230,10 +221,7 @@ def enumerate_branches(
             zero = StateVector(params.n_visible, np.zeros(dim, dtype=np.complex128))
             for tail in all_spin_configs(m_hidden - j):
                 s_vec = np.array(list(prefix) + list(tail), dtype=np.int8)
-                weight = 1.0
-                for jj in range(m_hidden):
-                    weight *= r_factor(params.m[jj].real, int(s_vec[jj])) ** 2
-                rows.append((s_vec, 0.0, weight, zero, nonunit))
+                rows.append((s_vec, 0.0, _history_weight(params, s_vec), zero, nonunit))
             return
         blocked, norm_sq = apply_hidden_block(state.with_plus_ancilla(), params, j)
         for s in (1, -1):
@@ -294,12 +282,8 @@ def _extended_amplitudes(params: RbmParams) -> np.ndarray:
     return np.exp(expo) / np.sqrt(2.0 ** (n + m))
 
 
-def verify_ensemble_identities(
-    params: RbmParams,
-    hidden_cap: int = 8,
-    cap: int = DEFAULT_STATEVECTOR_CAP,
-) -> EnsembleIdentityReport:
-    """Dense checks of the branch-ensemble identities.
+def verify_ensemble_identities(params: RbmParams) -> EnsembleIdentityReport:
+    """Dense checks of the branch-ensemble identities, M <= IDENTITY_HIDDEN_CAP.
 
     (a) for outcome histories differing in an odd number of slots, the
         symmetrized per-configuration cross term vanishes;
@@ -312,7 +296,8 @@ def verify_ensemble_identities(
     """
     if not params.unitary_coupled:
         raise ValueError("ensemble identities hold for unitary couplings only")
-    table = enumerate_branches(params, hidden_cap=hidden_cap, cap=cap)
+    check_cap(params.n_hidden, IDENTITY_HIDDEN_CAP, "identity check over {} hidden units")
+    table = enumerate_branches(params)
     m_hidden = params.n_hidden
     n_branches = table.s.shape[0]
 

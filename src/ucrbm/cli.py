@@ -42,6 +42,7 @@ from .solver import (
     ite_run,
     mean_field_stage,
 )
+from .statevector import DENSE_CAP
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -222,7 +223,7 @@ def cmd_ite(args) -> int:
         export_theta_snapshots(trace, args.snapshots_out)
 
     reference = None
-    if n <= 14:
+    if n <= DENSE_CAP:
         reference, _ = exact_ground(h)
     if args.svg_out:
         _write_energy_svg(args.svg_out, trace, reference)

@@ -6,7 +6,7 @@ class UcrbmError(Exception):
 
 
 class SizeCapError(UcrbmError, ValueError):
-    """A dense-statevector or branch-enumeration size cap was exceeded."""
+    """A size cap of ``statevector`` (raised by ``check_cap``) was exceeded."""
 
 
 class ProtocolOrderError(UcrbmError, RuntimeError):

@@ -1,7 +1,7 @@
 """Exact and Monte Carlo estimators for observables and the stochastic
 reconfiguration system.
 
-Three estimation modes share one accumulation path:
+Three estimation modes:
 
 * ``exact``    - complete enumeration weighted by |<z|Psi>|^2;
 * ``vmc``      - i.i.d. computational-basis samples drawn from the exact
@@ -9,8 +9,8 @@ Three estimation modes share one accumulation path:
 * ``ensemble`` - protocol runs accepted for every hidden outcome and
   reweighted by prod_j R^2_{s_j}; estimators are self-normalized ratios.
 
-Every sampled quantity (all A entries, the C vector, and the energy) is
-accumulated from the same sample stream: one state preparation per sample,
+The sampled modes share one accumulation path: all A entries, the C vector
+and the energy come from one sample stream, one state preparation per sample,
 drawn serially from the caller's generator, so a seed fixes the result.
 
 Exact mode makes one dense pass over the 2^N configurations: one
@@ -51,7 +51,6 @@ from .circuit import measure_visible, sample_protocol_batch
 from .errors import DegenerateWeightError, NumericalIntegrityError
 from .hamiltonians import PauliHamiltonian, apply_h, connected_states, connected_structure
 from .rbm import (
-    DEFAULT_STATEVECTOR_CAP,
     RbmParams,
     VariationalIndex,
     exact_statevector,
@@ -61,7 +60,7 @@ from .rbm import (
     statevector_from_angles,
 )
 from .spins import all_spin_configs, as_spins, spins_to_string, string_to_spins
-from .statevector import check_cap
+from .statevector import STATEVECTOR_CAP, check_cap
 
 # Sign relating the raw covariance Re(<O_m^dag H> - <O_m^dag><H>) to the
 # update direction: fixed once by the finite-difference gradient validation
@@ -151,9 +150,10 @@ def local_observable(params: RbmParams, z, h: PauliHamiltonian) -> complex:
 
 
 def expectation_exact(
-    params: RbmParams, h: PauliHamiltonian, cap: int = DEFAULT_STATEVECTOR_CAP
+    params: RbmParams, h: PauliHamiltonian, cap: int = STATEVECTOR_CAP
 ) -> Estimate:
-    """<Psi|H|Psi> by dense statevector and matrix-free application."""
+    """<Psi|H|Psi> by dense statevector and matrix-free application.  ``cap``
+    is the one size-cap override: the only exact oracle past STATEVECTOR_CAP."""
     psi = exact_statevector(params, cap)
     value = complex(np.vdot(psi.amplitudes, apply_h(h, psi).amplitudes))
     if abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
@@ -336,7 +336,7 @@ def compute_a_c_exact(params: RbmParams, h: PauliHamiltonian) -> SrSystem:
     energy is E = sum e and F = sum conj(x - mean x) (e - p E).
     """
     n = params.n_visible
-    check_cap(n, DEFAULT_STATEVECTOR_CAP)
+    check_cap(n, STATEVECTOR_CAP)
     zmat = all_spin_configs(n).astype(np.float64)
     theta = hidden_angles(params, zmat)
     psi = statevector_from_angles(params, zmat, theta)
@@ -375,9 +375,14 @@ def compute_a_c_sampled(
 
 
 def compute_a_c_from_log(params: RbmParams, h: PauliHamiltonian, path) -> SrSystem:
-    """Replay a recorded sample log; bit-identical to the original system."""
+    """Replay a sample log that fits ``params``; bit-identical to the original."""
     smat, zmat, weights = read_sample_log(path)
+    for size, mat, want in (("N", zmat, params.n_visible), ("M", smat, params.n_hidden)):
+        if mat is not None and mat.shape[1] != want:
+            raise ValueError(f"sample log has {size} = {mat.shape[1]}, the parameters {want}")
     mode = "vmc" if smat is None else "ensemble"
+    if mode == "ensemble" and not params.unitary_coupled:
+        raise ValueError("the ensemble mode requires unitary couplings")
     return _assemble_system(params, h, zmat, weights, mode, zmat.shape[0])
 
 
@@ -406,13 +411,20 @@ def read_sample_log(path):
             raise ValueError(f"sample log line {lineno}: expected 3 fields")
         s_tok, z_tok, w_tok = tokens
         s_row = None if s_tok == "." else string_to_spins("" if s_tok == "_" else s_tok)
+        z_row = string_to_spins(z_tok)
         if s_rows and (s_row is None) != (s_rows[0] is None):
             raise ValueError(
                 f"sample log line {lineno}: mixes '.' records (no hidden outcomes) "
                 "with hidden-outcome records"
             )
+        for name, row, rows in (("outcome", s_row, s_rows), ("spin", z_row, z_rows)):
+            if rows and row is not None and row.size != rows[0].size:
+                raise ValueError(
+                    f"sample log line {lineno}: {name} field has width {row.size}, "
+                    f"not {rows[0].size} as on the first record"
+                )
         s_rows.append(s_row)
-        z_rows.append(string_to_spins(z_tok))
+        z_rows.append(z_row)
         try:
             weight = float(w_tok)
         except ValueError:

@@ -23,10 +23,10 @@ import numpy as np
 
 from .errors import HermiticityError, PauliFileError
 from .spins import all_spin_configs, as_spins
-from .statevector import StateVector, check_cap
+from .statevector import DENSE_CAP, StateVector, check_cap
 
 PAULI_CHARS = "IXYZ"
-DENSE_CAP = 14
+JW_DROP_TOL = 1e-12  # relative; see jordan_wigner
 
 # Bohr magneton in meV per tesla; enters only the quantum-dot builder.
 MU_B_MEV_PER_T = 0.05788
@@ -191,11 +191,11 @@ def _jw_ladder(mode: int, dagger: bool, n_modes: int) -> dict[tuple[int, int], c
     }
 
 
-def jordan_wigner(terms, n_modes: int, drop_tol: float = 1e-12) -> PauliHamiltonian:
+def jordan_wigner(terms, n_modes: int) -> PauliHamiltonian:
     """Map a Hermitian sum of fermionic terms onto Pauli words.
 
-    Raises HermiticityError when the input does not close under conjugation
-    (detected as residual imaginary Pauli coefficients).
+    Real coefficients up to ``JW_DROP_TOL`` (relative) are dropped; an imaginary
+    one above it means the input is not Hermitian and raises HermiticityError.
     """
     acc: dict[tuple[int, int], complex] = {}
     for term in terms:
@@ -214,7 +214,7 @@ def jordan_wigner(terms, n_modes: int, drop_tol: float = 1e-12) -> PauliHamilton
             acc[bits] = acc.get(bits, 0.0) + coeff
 
     scale = max((abs(c) for c in acc.values()), default=1.0)
-    tol = drop_tol * max(1.0, scale)
+    tol = JW_DROP_TOL * max(1.0, scale)
     bad = max((abs(c.imag) for c in acc.values()), default=0.0)
     if bad > tol:
         raise HermiticityError(
@@ -454,8 +454,8 @@ def apply_h(h: PauliHamiltonian, state: StateVector) -> StateVector:
     return StateVector(h.n_qubits, out.sum(axis=1))
 
 
-def dense_matrix(h: PauliHamiltonian, cap: int = DENSE_CAP) -> np.ndarray:
-    check_cap(h.n_qubits, cap, "dense matrix")
+def dense_matrix(h: PauliHamiltonian) -> np.ndarray:
+    check_cap(h.n_qubits, DENSE_CAP, "dense matrix over {} qubits")
     dim = 1 << h.n_qubits
     out = np.zeros((dim, dim), dtype=np.complex128)
     for coeff, word in h.terms:
@@ -466,15 +466,14 @@ def dense_matrix(h: PauliHamiltonian, cap: int = DENSE_CAP) -> np.ndarray:
     return out
 
 
-def exact_ground(h: PauliHamiltonian, cap: int = DENSE_CAP) -> tuple[float, StateVector]:
-    """Lowest eigenvalue and a unit eigenvector of the dense Hermitian matrix.
+def exact_ground(h: PauliHamiltonian) -> tuple[float, StateVector]:
+    """Lowest eigenvalue and a unit eigenvector of ``dense_matrix(h)``.
 
     A degenerate ground space is resolved deterministically by projecting the
     lowest-index basis state with non-vanishing weight onto it; the global
     phase makes the largest-magnitude amplitude real positive.
     """
-    check_cap(h.n_qubits, cap, "exact diagonalization")
-    evals, evecs = np.linalg.eigh(dense_matrix(h, cap))
+    evals, evecs = np.linalg.eigh(dense_matrix(h))
     e0 = float(evals[0])
     tol = 1e-9 * max(1.0, abs(e0))
     members = evecs[:, evals <= e0 + tol]

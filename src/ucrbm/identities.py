@@ -15,11 +15,12 @@ import numpy as np
 from .errors import IdentityCheckError
 from .rbm import RbmParams, exact_statevector, logcosh
 from .spins import all_spin_configs
-from .statevector import fidelity
+from .statevector import EXPANSION_CAP, check_cap, fidelity
 
 MONOMIAL_TOL = 1e-8
 REAL_COUPLING_TOL = 1e-10
 HIDDEN_PAIR_TOL = 1e-8
+CONVERSION_DROP_TOL = 1e-12  # monomials at or below it get no hidden units
 
 _PLUS = np.array([1.0, 1.0]) / np.sqrt(2.0)
 
@@ -194,15 +195,14 @@ def _monomial_matrix(zmat: np.ndarray) -> np.ndarray:
     return cols
 
 
-def rbm_polynomial_coefficients(params: RbmParams, cap: int = 4) -> PolynomialExpansion:
-    """Solve for the monomial coefficients of sum_j log cosh(theta_j(v)).
+def rbm_polynomial_coefficients(params: RbmParams) -> PolynomialExpansion:
+    """Monomial coefficients of sum_j log cosh(theta_j(v)), N <= EXPANSION_CAP.
 
     The complex log is made continuous along a Gray-code walk through the
     configurations; a hidden-product amplitude passing through zero (within
     1e-14 of the largest amplitude) is reported as a branch failure."""
     n = params.n_visible
-    if n > cap:
-        raise ValueError(f"polynomial expansion supports at most {cap} visible spins")
+    check_cap(n, EXPANSION_CAP, "polynomial expansion over {} visible spins")
     zmat = all_spin_configs(n).astype(np.float64)
     lc = logcosh(params.m[None, :] + zmat @ params.w).sum(axis=1)
 
@@ -230,20 +230,16 @@ def rbm_polynomial_coefficients(params: RbmParams, cap: int = 4) -> PolynomialEx
     return PolynomialExpansion(n_visible=n, coefficients=coeffs, residual=residual)
 
 
-def rbm_to_unitary_coupled(
-    params: RbmParams, drop_tol: float = 1e-12, cap: int = 4
-) -> tuple[RbmParams, float]:
+def rbm_to_unitary_coupled(params: RbmParams) -> tuple[RbmParams, float]:
     """Convert an arbitrary complex parameter set into a unitary-coupled one.
 
-    Every monomial of degree >= 2 in the polynomial expansion becomes two
-    hidden units with coupling i*pi/4 to its spins and bias i*m_tilde; the
-    degree-1 terms fold into the visible biases.  Returns the converted
-    parameters and the overlap |<out|in>| of the normalized statevectors.
+    Every monomial of degree >= 2 and size above ``CONVERSION_DROP_TOL`` in the
+    expansion becomes two hidden units with coupling i*pi/4 to its spins and
+    bias i*m_tilde; degree-1 terms fold into the visible biases.  Returns the
+    converted parameters and the overlap |<out|in>| of the normalized states.
     """
     n = params.n_visible
-    if n > cap:
-        raise ValueError(f"conversion supports at most {cap} visible spins")
-    expansion = rbm_polynomial_coefficients(params, cap=cap)
+    expansion = rbm_polynomial_coefficients(params)
 
     b_new = params.b.copy()
     for i in range(n):
@@ -256,7 +252,7 @@ def rbm_to_unitary_coupled(
         if degree < 2:
             continue
         coeff = expansion.coefficients[mask]
-        if abs(coeff) <= drop_tol:
+        if abs(coeff) <= CONVERSION_DROP_TOL:
             continue
         dec = decouple_monomial(coeff, degree)
         column = np.zeros(n, dtype=np.complex128)

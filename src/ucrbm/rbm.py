@@ -17,9 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .spins import all_spin_configs, as_spins
-from .statevector import StateVector, check_cap
-
-DEFAULT_STATEVECTOR_CAP = 14
+from .statevector import STATEVECTOR_CAP, StateVector, check_cap
 
 
 @dataclass(frozen=True)
@@ -231,9 +229,9 @@ def r_factor(m_real: float, s: int) -> float:
     raise ValueError(f"s must be +1 or -1, got {s!r}")
 
 
-def exact_statevector(params: RbmParams, cap: int = DEFAULT_STATEVECTOR_CAP) -> StateVector:
-    """Normalized dense statevector over all 2^N configurations; the
-    amplitude of configuration z sits at its big-endian basis index."""
+def exact_statevector(params: RbmParams, cap: int = STATEVECTOR_CAP) -> StateVector:
+    """Normalized dense statevector, amplitude of z at its big-endian index;
+    ``cap`` is the one size-cap override (see ``expectation_exact``)."""
     n = params.n_visible
     check_cap(n, cap)
     zmat = all_spin_configs(n).astype(np.float64)

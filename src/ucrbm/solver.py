@@ -33,6 +33,8 @@ from .estimators import (
 from .hamiltonians import PauliHamiltonian
 from .rbm import RbmParams, VariationalIndex
 
+FD_STEP = 1e-5  # central-difference step of grad_check
+
 
 @dataclass(frozen=True)
 class IteConfig:
@@ -237,10 +239,8 @@ def mean_field_stage(
     )
 
 
-def grad_check(
-    params: RbmParams, h: PauliHamiltonian, fd_step: float = 1e-5
-) -> GradCheckReport:
-    """Compare C against -1/2 the central finite-difference energy gradient
+def grad_check(params: RbmParams, h: PauliHamiltonian) -> GradCheckReport:
+    """Compare C with -1/2 the central-difference energy gradient (step FD_STEP)
     and report the sign that turns the raw covariance into a descent update."""
     index = VariationalIndex.for_params(params)
     theta0 = index.flatten(params)
@@ -249,10 +249,10 @@ def grad_check(
     grad = np.empty(index.size)
     for slot in range(index.size):
         bump = np.zeros(index.size)
-        bump[slot] = fd_step
+        bump[slot] = FD_STEP
         e_plus = expectation_exact(index.unflatten(theta0 + bump), h).mean
         e_minus = expectation_exact(index.unflatten(theta0 - bump), h).mean
-        grad[slot] = (e_plus - e_minus) / (2.0 * fd_step)
+        grad[slot] = (e_plus - e_minus) / (2.0 * FD_STEP)
 
     deviation = float(np.max(np.abs(system.c - (-0.5) * grad)))
     raw_c = system.c / C_SIGN

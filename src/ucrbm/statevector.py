@@ -15,6 +15,14 @@ from .errors import SizeCapError
 
 SQRT2 = np.sqrt(2.0)
 
+# Size caps.  Every exact oracle grows as 2^N or 2^M, so each refuses past a
+# fixed size with a SizeCapError from ``check_cap``; these are the only caps.
+STATEVECTOR_CAP = 14  # qubits of a dense statevector (protocol emulation: N + 1)
+DENSE_CAP = 14  # qubits of a dense Hamiltonian matrix
+HIDDEN_CAP = 12  # hidden units of the 2^M branch enumeration
+IDENTITY_HIDDEN_CAP = 8  # hidden units of the ensemble-identity check (4^M pairs)
+EXPANSION_CAP = 4  # visible spins of the 2^N x 2^N polynomial expansion
+
 
 @dataclass(frozen=True)
 class StateVector:
@@ -61,6 +69,7 @@ def fidelity(a: StateVector, b: StateVector) -> float:
     return abs(overlap(a, b)) / denom
 
 
-def check_cap(n_qubits: int, cap: int, what: str = "statevector") -> None:
-    if n_qubits > cap:
-        raise SizeCapError(f"{what} over {n_qubits} qubits exceeds the cap of {cap}")
+def check_cap(size: int, cap: int, what: str = "statevector over {} qubits") -> None:
+    """SizeCapError past ``cap``; ``what`` names the object, ``{}`` its size."""
+    if size > cap:
+        raise SizeCapError(f"{what.format(size)} exceeds the cap of {cap}")

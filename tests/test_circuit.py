@@ -249,7 +249,7 @@ class TestEnumerateBranches:
 
     def test_hidden_cap(self):
         with pytest.raises(SizeCapError):
-            enumerate_branches(zero_params(2, 3), hidden_cap=2)
+            enumerate_branches(zero_params(2, 13))
 
 
 class TestOrderIndependence:
@@ -297,6 +297,11 @@ class TestVerifyEnsembleIdentities:
     def test_rejects_unrestricted(self):
         with pytest.raises(ValueError):
             verify_ensemble_identities(random_init(2, 2, 0.3, 0, False))
+
+    def test_refuses_past_the_identity_cap(self):
+        # M = 9 exceeds IDENTITY_HIDDEN_CAP = 8 though it is within HIDDEN_CAP
+        with pytest.raises(SizeCapError, match="identity check over 9 hidden units"):
+            verify_ensemble_identities(zero_params(2, 9))
 
 
 class TestMeasureVisible:

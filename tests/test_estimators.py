@@ -491,6 +491,32 @@ class TestSampleLog:
         with pytest.raises(ValueError, match="sample log line 2"):
             read_sample_log(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["+- ++ 1.0\n+ -+ 0.5\n", "+- ++ 1.0\n+- -+- 0.5\n"],
+        ids=["outcome-width", "spin-width"],
+    )
+    def test_ragged_fields_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.log"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="sample log line 2: .* width"):
+            read_sample_log(path)
+
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            (random_init(3, 2, 0.1, 0, True), "N = 2, the parameters 3"),
+            (random_init(2, 3, 0.1, 0, True), "M = 2, the parameters 3"),
+            (random_init(2, 2, 0.1, 0, False), "the ensemble mode requires unitary"),
+        ],
+        ids=["visible-width", "hidden-width", "unrestricted"],
+    )
+    def test_replay_refuses_a_log_that_does_not_fit(self, tmp_path, params, match):
+        path = tmp_path / "samples.log"
+        path.write_text("+- ++ 1.0\n-+ -+ 0.5\n")
+        with pytest.raises(ValueError, match=match):
+            compute_a_c_from_log(params, build_tfi(params.n_visible, 0.5), path)
+
     @pytest.mark.parametrize("weight", ["nan", "inf", "-0.5", "abc"])
     def test_bad_weight_rejected(self, tmp_path, weight):
         path = tmp_path / "bad.log"

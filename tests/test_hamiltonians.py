@@ -362,7 +362,7 @@ class TestExactGround:
 
     def test_cap_enforced(self):
         with pytest.raises(SizeCapError):
-            exact_ground(build_tfi(6, 1.0), cap=5)
+            exact_ground(build_tfi(15, 1.0))
 
 
 class TestPauliHamiltonianValidation:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ucrbm.errors import SizeCapError
 from ucrbm.identities import (
     decouple_hidden_pair,
     decouple_monomial,
@@ -130,7 +131,7 @@ class TestPolynomialExpansion:
         np.testing.assert_allclose(np.exp(recon), np.exp(direct), rtol=1e-9)
 
     def test_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SizeCapError):
             rbm_polynomial_coefficients(random_init(5, 2, 0.1, 0, False))
 
 
@@ -173,5 +174,5 @@ class TestRbmToUnitaryCoupled:
         np.testing.assert_allclose(a, phase * b, atol=1e-8)
 
     def test_cap(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(SizeCapError):
             rbm_to_unitary_coupled(random_init(5, 1, 0.1, 0, False))

@@ -1,7 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from conftest import brute_force_amplitudes
+
+from ucrbm import circuit, estimators, hamiltonians, identities, rbm, solver
 
 from ucrbm.errors import SizeCapError
 from ucrbm.rbm import (
@@ -287,6 +291,20 @@ class TestValidation:
         p = random_init(2, 2, 0.1, 0, True)
         with pytest.raises(ValueError):
             p.b[0] = 1.0
+
+
+class TestSizeCapPolicy:
+    def test_no_per_call_cap_or_tolerance_knobs(self):
+        # caps are declared once beside check_cap; expectation_exact's cap,
+        # passed through to exact_statevector, is the one override
+        allowed = {("expectation_exact", "cap"), ("exact_statevector", "cap")}
+        knobs = {"cap", "hidden_cap", "drop_tol", "fd_step"}
+        found = set()
+        for module in (circuit, estimators, hamiltonians, identities, rbm, solver):
+            for name, fn in inspect.getmembers(module, inspect.isfunction):
+                if fn.__module__ == module.__name__ and not name.startswith("_"):
+                    found |= {(name, p) for p in inspect.signature(fn).parameters if p in knobs}
+        assert found == allowed
 
 
 class TestSpinHelpers:
