@@ -15,7 +15,7 @@ statevector and no 2^N cap.  The gate-level emulation (``run_recycle_protocol``,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,13 +49,9 @@ class BranchTable:
     branch_probs: np.ndarray  # (2^M,)
     weights: np.ndarray  # (2^M,)
     states: tuple[StateVector, ...]  # zero vectors mark unreachable branches
-    nonunitary_norms: np.ndarray = field(default=None)
+    nonunitary_norms: np.ndarray
 
     def __post_init__(self):
-        if self.nonunitary_norms is None:
-            object.__setattr__(
-                self, "nonunitary_norms", np.ones_like(self.branch_probs)
-            )
         total = float(self.branch_probs.sum())
         if abs(total - 1.0) > 1e-10:
             raise NumericalIntegrityError(

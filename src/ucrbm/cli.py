@@ -356,7 +356,12 @@ def build_parser() -> _Parser:
         action="store_true",
         help="allow Re(W) != 0 (exact and vmc modes; ensemble needs unitary couplings)",
     )
-    p_ite.add_argument("--dtau", type=float, default=0.01)
+    p_ite.add_argument(
+        "--dtau",
+        type=float,
+        default=0.01,
+        help="Euler step in vmc and ensemble modes; initial step in exact mode",
+    )
     p_ite.add_argument("--steps", type=int, default=2000)
     p_ite.add_argument("--reg", type=float, default=1e-3, help="regularization lambda")
     p_ite.add_argument("--mode", choices=("exact", "vmc", "ensemble"), default="exact")

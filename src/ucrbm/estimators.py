@@ -13,7 +13,8 @@ The sampled modes share one accumulation path: all A entries, the C vector
 and the energy come from one sample stream, one state preparation per sample,
 drawn serially from the caller's generator, so a seed fixes the result.
 
-Exact mode makes one dense pass over the 2^N configurations: one
+Exact mode makes one dense pass over the 2^N configurations
+(``exact_point``, which the solver also uses to try step sizes): one
 hidden-angle pass theta = m + zW gives the amplitudes psi (log cosh theta)
 and the derivative columns (tanh theta), and H psi comes from the
 ``apply_h`` gather.  e = conj(psi) H psi is p E_loc with no division, so no
@@ -42,6 +43,7 @@ in that half-size complex form; A and C are built only when read (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -60,7 +62,7 @@ from .rbm import (
     statevector_from_angles,
 )
 from .spins import all_spin_configs, as_spins, spins_to_string, string_to_spins
-from .statevector import STATEVECTOR_CAP, check_cap
+from .statevector import STATEVECTOR_CAP, StateVector, check_cap
 
 # Sign relating the raw covariance Re(<O_m^dag H> - <O_m^dag><H>) to the
 # update direction: fixed once by the finite-difference gradient validation
@@ -328,26 +330,57 @@ def _assemble_system(params, h, zmat, weights, mode, n_samples):
     return _slot_system(params, s, f, energy, n_samples)
 
 
-def compute_a_c_exact(params: RbmParams, h: PauliHamiltonian) -> SrSystem:
-    """A and C with expectations taken over the exact statevector.
+@dataclass(frozen=True)
+class ExactPoint:
+    """The dense pass of ``compute_a_c_exact`` at ``params``: the float rows
+    of ``all_spin_configs``, their hidden angles theta, the normalized psi,
+    e = conj(psi) H psi and the energy E = sum e."""
 
-    One theta pass over the 2^N configurations gives psi and the derivative
-    columns x.  With p = |psi|^2 and e = conj(psi) H psi = p E_loc, the
-    energy is E = sum e and F = sum conj(x - mean x) (e - p E).
-    """
+    params: RbmParams
+    zmat: np.ndarray
+    theta: np.ndarray
+    psi: StateVector
+    e: np.ndarray
+    energy: complex
+
+
+@lru_cache(maxsize=None)
+def _spin_rows(n: int) -> np.ndarray:
+    """Read-only float rows of ``all_spin_configs(n)``, built once per N."""
+    zmat = all_spin_configs(n).astype(np.float64)
+    zmat.flags.writeable = False
+    return zmat
+
+
+def exact_point(params: RbmParams, h: PauliHamiltonian) -> ExactPoint:
+    """One theta = m + zW pass over the 2^N configurations, with H psi from
+    the ``apply_h`` gather; ``energy.real`` is the exact energy."""
     n = params.n_visible
     check_cap(n, STATEVECTOR_CAP)
-    zmat = all_spin_configs(n).astype(np.float64)
+    zmat = _spin_rows(n)
     theta = hidden_angles(params, zmat)
     psi = statevector_from_angles(params, zmat, theta)
     e = psi.amplitudes.conj() * apply_h(h, psi).amplitudes
-    p = psi.probabilities()
-    energy = complex(e.sum())
+    return ExactPoint(params, zmat, theta, psi, e, complex(e.sum()))
 
-    x = log_derivative_columns(zmat, theta)
+
+def compute_a_c_exact(
+    params: RbmParams, h: PauliHamiltonian, point: ExactPoint | None = None
+) -> SrSystem:
+    """A and C with expectations taken over the exact statevector.
+
+    The dense pass (``exact_point``) gives psi and, from the same theta, the
+    derivative columns x.  With p = |psi|^2 and e = conj(psi) H psi = p E_loc,
+    the energy is E = sum e and F = sum conj(x - mean x) (e - p E).  A
+    ``point`` already evaluated at this very ``params`` object is reused.
+    """
+    if point is None or point.params is not params:
+        point = exact_point(params, h)
+    p = point.psi.probabilities()
+    x = log_derivative_columns(point.zmat, point.theta)
     s, _ = _covariance(x, p)
-    f = ((e - p * energy).conj() @ x).conj()
-    estimate = Estimate(mean=energy.real, std_error=0.0, n_samples=0, mode="exact")
+    f = ((point.e - p * point.energy).conj() @ x).conj()
+    estimate = Estimate(mean=point.energy.real, std_error=0.0, n_samples=0, mode="exact")
     return _slot_system(params, s, f, estimate, 0)
 
 

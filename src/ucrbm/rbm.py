@@ -12,6 +12,7 @@ visible-hidden entangling operation a ZZ-phase gate in the circuit picture.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,9 +44,9 @@ class RbmParams:
                 f"(N, M) = ({b.shape[0]}, {m.shape[0]})"
             )
         for arr in (b, m, w):
-            if not np.all(np.isfinite(arr.view(np.float64))):
+            if not np.isfinite(arr).all():
                 raise ValueError("non-finite parameter")
-        if self.unitary_coupled and w.size and np.max(np.abs(w.real)) != 0.0:
+        if self.unitary_coupled and w.real.any():
             raise ValueError("unitary-coupled parameters require Re(w) == 0 exactly")
         for arr in (b, m, w):
             arr.flags.writeable = False
@@ -124,28 +125,31 @@ class VariationalIndex:
             parts.append(params.w.real.T.ravel())
         return np.concatenate(parts)
 
+    @cached_property
+    def _gather(self) -> np.ndarray:
+        """Slots of the interleaved (Re, Im) float pairs of [b, m, w], w
+        row-major, so that one gather lays out the complex parameters.
+        Without Re(w) slots the Im(w) slot stands in (``unflatten`` zeroes it)."""
+        n, m = self.n_visible, self.n_hidden
+        i, j = np.divmod(np.arange(n * m), m)
+        w_im = 2 * n + 2 * m + j * n + i
+        w_re = w_im if self.unitary_coupled else w_im + n * m
+        re = np.concatenate([np.arange(n), 2 * n + np.arange(m), w_re])
+        im = np.concatenate([n + np.arange(n), 2 * n + m + np.arange(m), w_im])
+        return np.stack([re, im], axis=1).ravel()
+
     def unflatten(self, vec: np.ndarray) -> RbmParams:
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (self.size,):
             raise ValueError(f"expected a vector of length {self.size}")
         n, m = self.n_visible, self.n_hidden
-        n_w = n * m
-        pos = 0
-
-        def take(count):
-            nonlocal pos
-            out = vec[pos : pos + count]
-            pos += count
-            return out
-
-        b = take(n) + 1j * take(n)
-        mm = take(m) + 1j * take(m)
-        w_im = take(n_w).reshape(m, n).T
+        pairs = vec[self._gather].reshape(-1, 2)
         if self.unitary_coupled:
-            w = 1j * w_im
-        else:
-            w = take(n_w).reshape(m, n).T + 1j * w_im
-        return RbmParams(b, mm, w, unitary_coupled=self.unitary_coupled)
+            # Re(w) = 0 with the sign of Im(w), as w = 1j * Im(w) gives it
+            np.copysign(0.0, pairs[n + m :, 1], out=pairs[n + m :, 0])
+        z = pairs.view(np.complex128).ravel()
+        w = z[n + m :].reshape(n, m)
+        return RbmParams(z[:n], z[n : n + m], w, unitary_coupled=self.unitary_coupled)
 
 
 def random_init(

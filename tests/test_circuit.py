@@ -17,7 +17,7 @@ from ucrbm.circuit import (
     sample_protocol_batch,
     verify_ensemble_identities,
 )
-from ucrbm.errors import ProtocolOrderError, SizeCapError
+from ucrbm.errors import NumericalIntegrityError, ProtocolOrderError, SizeCapError
 from ucrbm.rbm import RbmParams, exact_statevector, random_init
 from ucrbm.spins import spins_to_index
 from ucrbm.statevector import StateVector, fidelity
@@ -336,10 +336,11 @@ class TestMeasureVisible:
 
 class TestBranchTableValidation:
     def test_rejects_bad_probability_sum(self):
-        with pytest.raises(Exception):
+        with pytest.raises(NumericalIntegrityError):
             BranchTable(
                 s=np.array([[1]], dtype=np.int8),
                 branch_probs=np.array([0.5]),
                 weights=np.array([1.0]),
                 states=(StateVector(1, np.array([1.0, 0.0])),),
+                nonunitary_norms=np.ones(1),
             )

@@ -244,6 +244,45 @@ class TestVariationalIndex:
         assert vec[labels.index("w_im[1,0]")] == p.w[1, 0].imag
         assert vec[labels.index("w_re[0,1]")] == p.w[0, 1].real
 
+    @pytest.mark.parametrize("n,m,unitary", [(1, 0, True), (3, 2, True), (3, 2, False), (6, 6, False)])
+    def test_unflatten_matches_the_complex_arithmetic_bitwise(self, n, m, unitary):
+        # reference: each block assembled as Re + 1j * Im from the slot
+        # order, w = 1j * Im(w) under the flag (signed zeros included)
+        index = VariationalIndex(n, m, unitary)
+        rng = np.random.default_rng(n + m)
+        for _ in range(20):
+            vec = rng.normal(0.0, 1.0, index.size)
+            vec[rng.random(index.size) < 0.2] = 0.0
+            cuts = np.cumsum([n, n, m, m, n * m])
+            re_b, im_b, re_m, im_m, im_w, re_w = np.split(vec, cuts)
+            w = 1j * im_w.reshape(m, n).T
+            if not unitary:
+                w = re_w.reshape(m, n).T + w
+            p = index.unflatten(vec)
+            for got, want in ((p.b, re_b + 1j * im_b), (p.m, re_m + 1j * im_m), (p.w, w)):
+                assert got.dtype == np.complex128 and got.flags.c_contiguous
+                assert not got.flags.writeable
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("unitary", [True, False])
+    def test_unflatten_rejects_non_finite_slots(self, bad, unitary):
+        index = VariationalIndex(3, 2, unitary)
+        for slot in range(index.size):
+            vec = np.full(index.size, 0.1)
+            vec[slot] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                index.unflatten(vec)
+
+    def test_unflatten_output_keeps_the_real_coupling_check(self):
+        # Re(w) slots exist only without the flag; a nonzero one cannot be
+        # rebuilt into unitary-coupled parameters
+        p = VariationalIndex(3, 2, False).unflatten(np.full(22, 0.1))
+        assert np.all(p.w.real == 0.1)
+        with pytest.raises(ValueError, match="Re\\(w\\) == 0"):
+            RbmParams(p.b, p.m, p.w, unitary_coupled=True)
+        assert RbmParams(p.b, p.m, 1j * p.w.imag, unitary_coupled=True).unitary_coupled
+
 
 class TestRFactor:
     def test_identity_operator(self):

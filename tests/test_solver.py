@@ -8,6 +8,7 @@ from ucrbm.estimators import (
     Estimate,
     compute_a_c_exact,
     compute_a_c_sampled,
+    exact_point,
     expectation_exact,
 )
 from ucrbm.hamiltonians import TqdParams, build_afh, build_tfi, build_tqd, load_bundled
@@ -212,11 +213,11 @@ class TestIteRun:
         h = build_tfi(2, 0.5)
         calls = []
 
-        def failing(params, ham):
+        def failing(params, ham, point=None):
             calls.append(params)
             if len(calls) == 3:
                 raise NumericalIntegrityError("A has non-finite entries")
-            return compute_a_c_exact(params, ham)
+            return compute_a_c_exact(params, ham, point)
 
         monkeypatch.setattr(ucrbm.solver, "compute_a_c_exact", failing)
         with pytest.raises(NumericalIntegrityError, match="^step 2: A has non-finite"):
@@ -254,9 +255,10 @@ class TestIteRun:
 
     def test_tau_increments_by_dtau(self):
         h = build_tfi(2, 0.5)
-        cfg = IteConfig(n_steps=7, dtau=0.03, convergence_threshold=0.0)
+        cfg = IteConfig(n_steps=7, dtau=0.03, convergence_threshold=0.0, mode="vmc")
         _, trace = ite_run(random_init(2, 2, 0.1, 0, True), h, cfg)
         np.testing.assert_allclose(np.diff(trace.taus), 0.03, atol=1e-15)
+        assert np.all(trace.trials == 0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -284,6 +286,119 @@ class TestIteRun:
         floor = VariationalIndex.for_params(p0).size * np.finfo(float).eps
         assert trace.n_steps == 300
         assert np.all(trace.min_eig_a >= -floor * trace.max_eig_a)
+
+
+def exact_cases():
+    yield build_tfi(4, 1.0), random_init(4, 4, 0.1, 0, True)
+    yield build_afh(4), random_init(4, 4, 0.1, 0, True)
+    yield build_tqd(TqdParams(b_field=0.5)), random_init(6, 6, 0.1, 2, False)
+
+
+class TestEnergyAcceptedSteps:
+    """Exact mode: theta + dt * delta is accepted when its energy does not
+    rise (then dt grows by GROWTH, at most to 1), else dt halves."""
+
+    def test_energies_never_rise(self):
+        for h, p0 in exact_cases():
+            cfg = IteConfig(n_steps=300, regularization=1e-4, convergence_threshold=0.0)
+            _, trace = ite_run(p0, h, cfg)
+            assert trace.n_steps == 300
+            assert np.all(np.diff(trace.energies) <= 0.0)
+            assert np.all(trace.trials >= 1)
+
+    def test_parameters_move_by_the_accepted_step(self, monkeypatch):
+        import ucrbm.solver
+
+        deltas = []
+
+        def recording(*args):
+            delta, residual = sr_update(*args)
+            deltas.append(delta)
+            return delta, residual
+
+        monkeypatch.setattr(ucrbm.solver, "sr_update", recording)
+        for h, p0 in exact_cases():
+            deltas.clear()
+            cfg = IteConfig(n_steps=40, regularization=1e-4, convergence_threshold=0.0)
+            _, trace = ite_run(p0, h, cfg)
+            thetas, taus = trace.thetas, trace.taus
+            eps = np.finfo(float).eps
+            for k in range(trace.n_steps - 1):
+                moved = thetas[k + 1] - thetas[k]
+                expected = (taus[k + 1] - taus[k]) * deltas[k]
+                # relative to the step, plus the rounding of theta itself
+                floor = 4 * eps * np.linalg.norm(thetas[k + 1])
+                assert np.linalg.norm(moved - expected) <= (
+                    1e-12 * np.linalg.norm(expected) + floor
+                )
+
+    def test_one_sr_system_and_one_dense_pass_per_trial(self, monkeypatch):
+        # the accepted trial's dense pass is the next step's: exact_point
+        # runs once for the first row and once per trial, no more
+        import ucrbm.estimators
+        import ucrbm.solver
+
+        systems, passes = [], []
+
+        def counting_system(*args):
+            systems.append(1)
+            return compute_a_c_exact(*args)
+
+        def counting_pass(*args):
+            passes.append(1)
+            return exact_point(*args)
+
+        monkeypatch.setattr(ucrbm.solver, "compute_a_c_exact", counting_system)
+        monkeypatch.setattr(ucrbm.solver, "exact_point", counting_pass)
+        monkeypatch.setattr(ucrbm.estimators, "exact_point", counting_pass)
+        for h, p0 in exact_cases():
+            systems.clear()
+            passes.clear()
+            cfg = IteConfig(n_steps=100, regularization=1e-4, convergence_threshold=0.0)
+            _, trace = ite_run(p0, h, cfg)
+            assert len(systems) == trace.n_steps
+            assert len(passes) == 1 + int(trace.trials.sum())
+
+    def test_tqd_reaches_tolerance_within_400_steps(self):
+        # c07's start at B = 0.5: fixed dtau = 0.01 steps need about 3250
+        from ucrbm.hamiltonians import exact_ground
+
+        h = build_tqd(TqdParams(b_field=0.5))
+        e0, _ = exact_ground(h)
+        cfg = IteConfig(n_steps=400, regularization=1e-4, convergence_threshold=0.0)
+        _, trace = ite_run(random_init(6, 6, 0.1, 2, False), h, cfg)
+        assert np.any(np.abs(trace.energies - e0) <= 1e-2 * abs(e0))
+
+    def test_first_step_is_dtau_and_no_step_exceeds_one(self):
+        h = build_tfi(4, 1.0)
+        cfg = IteConfig(n_steps=200, dtau=0.03, convergence_threshold=0.0)
+        _, trace = ite_run(random_init(4, 4, 0.1, 0, True), h, cfg)
+        steps = np.diff(trace.taus)
+        assert trace.taus[0] == 0.0
+        assert steps[0] == 0.03
+        assert np.all(steps <= 1.0)
+        assert np.max(steps) > 0.03  # accepted steps grow
+
+    def test_halving_is_bounded_on_an_ascent_direction(self, monkeypatch):
+        import ucrbm.solver
+
+        def ascent(*args):
+            delta, residual = sr_update(*args)
+            return -delta, residual
+
+        monkeypatch.setattr(ucrbm.solver, "sr_update", ascent)
+        h = build_tfi(4, 1.0)
+        p0 = random_init(4, 4, 0.1, 0, True)
+        cfg = IteConfig(n_steps=20, convergence_threshold=0.0)
+        final, trace = ite_run(p0, h, cfg)
+        assert trace.n_steps == 20
+        assert np.all(np.isfinite(trace.thetas))
+        assert np.all(np.isfinite(VariationalIndex.for_params(p0).flatten(final)))
+        # every trial along -delta raises the energy: each step stops at
+        # the bound and leaves the parameters where they are
+        assert np.all(trace.trials == ucrbm.solver.MAX_TRIALS)
+        assert np.all(trace.energies == trace.energies[0])
+        assert np.all(trace.taus == 0.0)
 
 
 class TestMeanFieldStage:
