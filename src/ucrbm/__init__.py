@@ -8,12 +8,10 @@ from ._kernels import BACKEND
 from .circuit import (
     BranchTable,
     EnsembleIdentityReport,
-    EnsembleSample,
     enumerate_branches,
     measure_visible,
     prepare_visible_product,
     recombined_statevector,
-    run_recycle_protocol,
     verify_ensemble_identities,
 )
 from .estimators import (
@@ -70,7 +68,6 @@ __all__ = [
     "BACKEND",
     "BranchTable",
     "EnsembleIdentityReport",
-    "EnsembleSample",
     "Estimate",
     "FermionTerm",
     "GradCheckReport",
@@ -113,7 +110,6 @@ __all__ = [
     "rbm_polynomial_coefficients",
     "rbm_to_unitary_coupled",
     "recombined_statevector",
-    "run_recycle_protocol",
     "save_pauli_file",
     "sr_update",
     "verify_ensemble_identities",

@@ -4,13 +4,16 @@ One ancilla qubit is attached in |+>, entangled with all visible qubits by
 a hidden-block phase unitary, measured in the X basis, and dropped - so M
 hidden units never cost more than one extra qubit.  Accepting every
 measurement outcome and reweighting by the classical factors R_s(Re m_j)^2
-replaces post-selection; enumerating all 2^M outcome histories gives the
-exact branch decomposition used by the verification routines.
+replaces post-selection.  ``enumerate_branches`` replays the gates for every
+one of the 2^M outcome histories; it is the only gate-level emulation and
+the exact branch decomposition used by the verification routines.  It
+requires unitary couplings (Re w = 0): unrestricted RBMs reach the protocol
+through the decoupling identities (``identities.rbm_to_unitary_coupled``).
 
 The ensemble estimators do not run this emulation: ``sample_protocol_batch``
 draws (s, z) from the factorized protocol law in O(K N M) work, with no
-statevector and no 2^N cap.  The gate-level emulation (``run_recycle_protocol``,
-``enumerate_branches``) is the oracle that the sampler is tested against.
+statevector and no 2^N cap, and the branch table is the oracle that the
+sampler is tested against.
 """
 
 from __future__ import annotations
@@ -26,19 +29,6 @@ from .statevector import HIDDEN_CAP, IDENTITY_HIDDEN_CAP, STATEVECTOR_CAP
 from .statevector import StateVector, check_cap
 
 _ANCILLA_PLUS_TOL = 1e-10
-_PROB_SUM_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class EnsembleSample:
-    """One protocol run: outcome history, its probability, and the classical
-    reweighting factor prod_j R_{s_j}(Re m_j)^2."""
-
-    s: np.ndarray  # (M,) int8 of +1/-1
-    branch_prob: float
-    weight: float
-    visible_state: StateVector
-    z_shots: np.ndarray | None = None  # optional (shots, N) int8
 
 
 @dataclass(frozen=True)
@@ -49,7 +39,6 @@ class BranchTable:
     branch_probs: np.ndarray  # (2^M,)
     weights: np.ndarray  # (2^M,)
     states: tuple[StateVector, ...]  # zero vectors mark unreachable branches
-    nonunitary_norms: np.ndarray
 
     def __post_init__(self):
         total = float(self.branch_probs.sum())
@@ -88,20 +77,24 @@ def block_phases(params: RbmParams, j: int) -> np.ndarray:
     return params.m[j].imag + zmat @ params.w[:, j].imag
 
 
-def apply_hidden_block(
-    state: StateVector, params: RbmParams, j: int
-) -> tuple[StateVector, float]:
+def _require_unitary(params: RbmParams) -> None:
+    if not params.unitary_coupled:
+        raise ValueError(
+            "the gate-level emulation requires unitary couplings; convert an "
+            "unrestricted RBM with identities.rbm_to_unitary_coupled"
+        )
+
+
+def apply_hidden_block(state: StateVector, params: RbmParams, j: int) -> StateVector:
     """Entangle the ancilla (last qubit) with all visible qubits.
 
-    Applies exp(i*(Im m_j + sum_i Im w_ij v_i^z) * h^z): one ancilla Z phase
-    plus N ZZ phases.  Unrestricted couplings additionally apply the
-    non-unitary factor exp(sum_i Re w_ij v_i^z h^z) followed by explicit
-    renormalization; the squared pre-normalization norm is returned as the
-    side value (1.0 for the unitary case).
+    Applies the unitary exp(i*(Im m_j + sum_i Im w_ij v_i^z) * h^z): one
+    ancilla Z phase plus N ZZ phases.  Unrestricted couplings are refused.
 
     The ancilla must still be in |+> - i.e. this block must come right after
     attaching a fresh ancilla.
     """
+    _require_unitary(params)
     n = params.n_visible
     if state.n_qubits != n + 1:
         raise ValueError("expected a visible register plus one ancilla")
@@ -117,14 +110,7 @@ def apply_hidden_block(
     new = np.empty_like(grid)
     new[:, 0] = grid[:, 0] * phase
     new[:, 1] = grid[:, 1] * phase.conj()
-    norm_sq = 1.0
-    if not params.unitary_coupled:
-        g = all_spin_configs(n).astype(np.float64) @ params.w[:, j].real
-        new[:, 0] *= np.exp(g)
-        new[:, 1] *= np.exp(-g)
-        norm_sq = float(np.linalg.norm(new) ** 2)
-        new /= np.sqrt(norm_sq)
-    return StateVector(n + 1, new.reshape(-1)), norm_sq
+    return StateVector(n + 1, new.reshape(-1))
 
 
 def project_hidden_outcome(state: StateVector, s: int) -> tuple[StateVector, float]:
@@ -144,22 +130,6 @@ def project_hidden_outcome(state: StateVector, s: int) -> tuple[StateVector, flo
     return StateVector(n, amps), prob
 
 
-def sample_hidden_outcome(
-    state: StateVector, rng: np.random.Generator
-) -> tuple[int, StateVector, float]:
-    """X-basis measurement of the ancilla: outcome, collapsed visible state,
-    and the outcome's Born probability."""
-    plus_state, p_plus = project_hidden_outcome(state, 1)
-    minus_state, p_minus = project_hidden_outcome(state, -1)
-    if abs(p_plus + p_minus - 1.0) > _PROB_SUM_TOL:
-        raise NumericalIntegrityError(
-            f"measurement probabilities sum to {p_plus + p_minus!r}"
-        )
-    if rng.random() < p_plus:
-        return 1, plus_state, p_plus
-    return -1, minus_state, p_minus
-
-
 def _history_weight(params: RbmParams, s_vec) -> float:
     """prod_j R_{s_j}(Re m_j)^2 of one outcome history."""
     weight = 1.0
@@ -168,48 +138,24 @@ def _history_weight(params: RbmParams, s_vec) -> float:
     return weight
 
 
-def run_recycle_protocol(
-    params: RbmParams, rng: np.random.Generator, shots: int = 0
-) -> EnsembleSample:
-    """One protocol run on N + 1 <= STATEVECTOR_CAP qubits: visible preparation,
-    then per hidden unit attach a fresh ancilla, entangle, measure, recycle."""
-    if not params.unitary_coupled:
-        raise ValueError(
-            "the sampling path requires unitary couplings; unrestricted Re(w) "
-            "is supported only by the deterministic branch enumeration"
-        )
-    check_cap(params.n_visible + 1, STATEVECTOR_CAP)
-    state = prepare_visible_product(params)
-    outcomes = np.empty(params.n_hidden, dtype=np.int8)
-    branch_prob = 1.0
-    for j in range(params.n_hidden):
-        blocked, _ = apply_hidden_block(state.with_plus_ancilla(), params, j)
-        s, state, p_j = sample_hidden_outcome(blocked, rng)
-        outcomes[j] = s
-        branch_prob *= p_j
-    z_shots = measure_visible(state, shots, rng) if shots else None
-    return EnsembleSample(
-        s=outcomes,
-        branch_prob=branch_prob,
-        weight=_history_weight(params, outcomes),
-        visible_state=state,
-        z_shots=z_shots,
-    )
-
-
 def enumerate_branches(params: RbmParams) -> BranchTable:
     """Replay the protocol for all 2^M forced outcome histories, M <= HIDDEN_CAP,
-    on N + 1 <= STATEVECTOR_CAP qubits, reusing shared prefixes of the gate path."""
+    on N + 1 <= STATEVECTOR_CAP qubits, reusing shared prefixes of the gate path.
+
+    Unitary couplings only.  The walk takes + before - at every hidden unit,
+    so row k is the history of index k, (+,...,+) first.
+    """
+    _require_unitary(params)
     m_hidden = params.n_hidden
     check_cap(m_hidden, HIDDEN_CAP, "branch enumeration over {} hidden units")
     check_cap(params.n_visible + 1, STATEVECTOR_CAP)
 
-    rows: list[tuple[np.ndarray, float, float, StateVector, float]] = []
+    rows: list[tuple[np.ndarray, float, float, StateVector]] = []
 
-    def walk(j: int, state: StateVector, prefix, prob: float, nonunit: float):
+    def walk(j: int, state: StateVector, prefix, prob: float):
         if j == m_hidden:
             s_vec = np.array(prefix, dtype=np.int8)
-            rows.append((s_vec, prob, _history_weight(params, s_vec), state, nonunit))
+            rows.append((s_vec, prob, _history_weight(params, s_vec), state))
             return
         if prob == 0.0:
             # unreachable subtree: emit zero rows for all completions
@@ -217,27 +163,25 @@ def enumerate_branches(params: RbmParams) -> BranchTable:
             zero = StateVector(params.n_visible, np.zeros(dim, dtype=np.complex128))
             for tail in all_spin_configs(m_hidden - j):
                 s_vec = np.array(list(prefix) + list(tail), dtype=np.int8)
-                rows.append((s_vec, 0.0, _history_weight(params, s_vec), zero, nonunit))
+                rows.append((s_vec, 0.0, _history_weight(params, s_vec), zero))
             return
-        blocked, norm_sq = apply_hidden_block(state.with_plus_ancilla(), params, j)
+        blocked = apply_hidden_block(state.with_plus_ancilla(), params, j)
         for s in (1, -1):
             collapsed, p_j = project_hidden_outcome(blocked, s)
-            walk(j + 1, collapsed, prefix + [s], prob * p_j, nonunit * norm_sq)
+            walk(j + 1, collapsed, prefix + [s], prob * p_j)
 
-    walk(0, prepare_visible_product(params), [], 1.0, 1.0)
-    rows.sort(key=lambda row: tuple(-row[0]))  # (+,...,+) first, index order
+    walk(0, prepare_visible_product(params), [], 1.0)
     return BranchTable(
         s=np.array([r[0] for r in rows], dtype=np.int8),
         branch_probs=np.array([r[1] for r in rows]),
         weights=np.array([r[2] for r in rows]),
         states=tuple(r[3] for r in rows),
-        nonunitary_norms=np.array([r[4] for r in rows]),
     )
 
 
 def recombined_statevector(params: RbmParams, table: BranchTable) -> StateVector:
     """Reassemble the closed-form state from the branch decomposition:
-    sum_s R-product * sqrt(branch amplitude norm) * |Psi_v^s>, normalized."""
+    sum_s R-product * sqrt(branch probability) * |Psi_v^s>, normalized."""
     dim = 1 << params.n_visible
     acc = np.zeros(dim, dtype=np.complex128)
     for row in range(table.s.shape[0]):
@@ -246,7 +190,7 @@ def recombined_statevector(params: RbmParams, table: BranchTable) -> StateVector
         r_prod = 1.0
         for j in range(params.n_hidden):
             r_prod *= r_factor(params.m[j].real, int(table.s[row, j]))
-        scale = np.sqrt(table.branch_probs[row] * table.nonunitary_norms[row])
+        scale = np.sqrt(table.branch_probs[row])
         acc += r_prod * scale * table.states[row].amplitudes
     return StateVector(params.n_visible, acc).normalized()
 
@@ -300,8 +244,7 @@ def verify_ensemble_identities(params: RbmParams) -> EnsembleIdentityReport:
     # branch amplitudes relative to the normalized visible preparation
     amp = np.stack(
         [
-            np.sqrt(table.branch_probs[r] * table.nonunitary_norms[r])
-            * table.states[r].amplitudes
+            np.sqrt(table.branch_probs[r]) * table.states[r].amplitudes
             for r in range(n_branches)
         ]
     )
@@ -360,8 +303,8 @@ def sample_protocol_batch(
     p(s, z) = |psi0(z)|^2 prod_j (cos^2 phi_j(z) if s_j = +1, else sin^2 phi_j(z)).
     Each z_i is drawn independently with P(z_i = +1) = (1 + tanh 2 Re b_i)/2,
     then each s_j given z with P(s_j = +1) = cos^2 phi_j(z) - O(K N M) work
-    and no statevector, so there is no 2^N cap.  ``run_recycle_protocol`` and
-    ``enumerate_branches`` emulate the gates and serve as the test oracle.
+    and no statevector, so there is no 2^N cap.  ``enumerate_branches``
+    emulates the gates and serves as the test oracle.
 
     Returns (outcomes (n_runs, M) int8, measured spins (n_runs, N) int8,
     weights prod_j R_{s_j}(Re m_j)^2 (n_runs,)).

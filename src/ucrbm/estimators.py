@@ -45,6 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,27 +109,27 @@ class SrSystem:
         asym = float(np.max(np.abs(a - a.T.conj()), initial=0.0))
         if asym > 1e-10:
             raise NumericalIntegrityError(f"A is asymmetric by {asym:.3e}")
-        self.matrix, self.rhs, self.slots = a, c, None
+        self.matrix, self.rhs, self.slots, self._layout = a, c, None, None
         self._a, self._c = a, c
         self.energy, self.n_preparations = energy, n_preparations
 
     @classmethod
-    def _half_size(cls, s, g, slots, energy, n_preparations) -> "SrSystem":
+    def _half_size(cls, s, g, layout, energy, n_preparations) -> "SrSystem":
         system = cls(s, g, energy, n_preparations)
-        system.slots = slots
+        system.slots, system._layout = layout.slots, layout
         system._a = system._c = None
         return system
 
     @property
     def a(self) -> np.ndarray:
         if self._a is None:
-            self._a, self._c = _real_form(self.matrix, self.rhs, self.slots)
+            self._a, self._c = _real_form(self.matrix, self.rhs, self._layout)
         return self._a
 
     @property
     def c(self) -> np.ndarray:
         if self._c is None:
-            self._a, self._c = _real_form(self.matrix, self.rhs, self.slots)
+            self._a, self._c = _real_form(self.matrix, self.rhs, self._layout)
         return self._c
 
     def to_slots(self, u: np.ndarray) -> np.ndarray:
@@ -157,10 +158,10 @@ def expectation_exact(
     """<Psi|H|Psi> by dense statevector and matrix-free application.  ``cap``
     is the one size-cap override: the only exact oracle past STATEVECTOR_CAP."""
     psi = exact_statevector(params, cap)
-    value = complex(np.vdot(psi.amplitudes, apply_h(h, psi).amplitudes))
-    if abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
+    value = complex(np.vdot(psi.amplitudes, apply_h(h, psi)))
+    if not np.isfinite(value) or abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
         raise NumericalIntegrityError(
-            f"imaginary residue {value.imag!r} for a Hermitian observable"
+            f"non-finite value or imaginary residue in {value!r} for a Hermitian observable"
         )
     return Estimate(mean=float(value.real), std_error=0.0, n_samples=0, mode="exact")
 
@@ -298,23 +299,54 @@ def _sampled_moments(x, wn, eloc):
     return s, xw.T @ (eloc - complex(wn @ eloc))
 
 
-def _real_form(s, g, slots):
+class _SlotLayout(NamedTuple):
+    """Where each real slot reads A and C, as gathers from the interleaved
+    (Re, Im) float view of S and of g."""
+
+    slots: np.ndarray  # (P,) column of [x, i*x] per slot (slot_columns)
+    a_index: np.ndarray  # (P, P) flat index into S viewed as (D, 2D) floats
+    a_sign: np.ndarray  # (P, P) -1 where A takes -Im S, else +1
+    c_index: np.ndarray  # (P,) index into g viewed as (2D,) floats
+
+
+@lru_cache(maxsize=8)
+def _slot_layout(n_visible: int, n_hidden: int, unitary_coupled: bool) -> _SlotLayout:
+    """The slot gathers of one (N, M, ansatz), built once."""
+    slots = VariationalIndex(n_visible, n_hidden, unitary_coupled).slot_columns()
+    d = n_visible + n_hidden + n_visible * n_hidden
+    part, col = np.divmod(slots, d)
     # Slot blocks: Re S (Re/Re, Im/Im), -Im S (Re row, Im column), +Im S
     # (Im row, Re column); C takes Re g in Re slots and Im g in Im slots.
-    a = np.block([[s.real, -s.imag], [s.imag, s.real]])[slots][:, slots]
-    return a, np.concatenate([g.real, g.imag])[slots]
+    cross = part[:, None] != part[None, :]
+    layout = _SlotLayout(
+        slots=slots,
+        a_index=2 * (col[:, None] * d + col[None, :]) + cross,
+        a_sign=np.where(part[:, None] < part[None, :], -1.0, 1.0),
+        c_index=2 * col + part,
+    )
+    for arr in layout:
+        arr.flags.writeable = False
+    return layout
+
+
+def _real_form(s, g, layout: _SlotLayout):
+    """A and C in slot order: one gather each, and a sign product for A."""
+    s_floats = np.ascontiguousarray(s, dtype=np.complex128).view(np.float64)
+    a = np.take(s_floats, layout.a_index)
+    a *= layout.a_sign
+    g_floats = np.ascontiguousarray(g, dtype=np.complex128).view(np.float64)
+    return a, g_floats[layout.c_index]
 
 
 def _slot_system(params, s, f, energy, n_preparations) -> SrSystem:
-    index = VariationalIndex.for_params(params)
-    slots = index.slot_columns()
+    layout = _slot_layout(params.n_visible, params.n_hidden, params.unitary_coupled)
     g = C_SIGN * f
     # Unrestricted slots pair every distinct column, so A is the real form
     # of S and the solver takes the half-size complex system.  The
     # unitary-coupled slots lack Re w, and A is no real form.
-    if not index.unitary_coupled:
-        return SrSystem._half_size(s, g, slots, energy, n_preparations)
-    a, c = _real_form(s, g, slots)
+    if not params.unitary_coupled:
+        return SrSystem._half_size(s, g, layout, energy, n_preparations)
+    a, c = _real_form(s, g, layout)
     return SrSystem(a=a, c=c, energy=energy, n_preparations=n_preparations)
 
 
@@ -360,7 +392,7 @@ def exact_point(params: RbmParams, h: PauliHamiltonian) -> ExactPoint:
     zmat = _spin_rows(n)
     theta = hidden_angles(params, zmat)
     psi = statevector_from_angles(params, zmat, theta)
-    e = psi.amplitudes.conj() * apply_h(h, psi).amplitudes
+    e = psi.amplitudes.conj() * apply_h(h, psi)
     return ExactPoint(params, zmat, theta, psi, e, complex(e.sum()))
 
 

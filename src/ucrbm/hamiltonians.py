@@ -444,14 +444,17 @@ def _gather_table(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     return kets, elements
 
 
-def apply_h(h: PauliHamiltonian, state: StateVector) -> StateVector:
+def apply_h(h: PauliHamiltonian, state: StateVector) -> np.ndarray:
     """Matrix-free H|state> as a gather over the connected structure:
-    (H psi)[k] = sum_g H(k, k ^ flip_bits[g]) psi[k ^ flip_bits[g]]."""
+    (H psi)[k] = sum_g H(k, k ^ flip_bits[g]) psi[k ^ flip_bits[g]].
+
+    H psi is no state, so it comes back as the bare complex amplitude
+    array, with no norm and no finiteness check."""
     if state.n_qubits != h.n_qubits:
         raise ValueError("state and Hamiltonian qubit counts differ")
     kets, elements = _gather_table(h)
     out = elements * state.amplitudes[kets]
-    return StateVector(h.n_qubits, out.sum(axis=1))
+    return out.sum(axis=1)
 
 
 def dense_matrix(h: PauliHamiltonian) -> np.ndarray:

@@ -28,7 +28,7 @@ EXPANSION_CAP = 4  # visible spins of the 2^N x 2^N polynomial expansion
 class StateVector:
     n_qubits: int
     amplitudes: np.ndarray
-    norm: float = field(default=0.0)
+    norm: float = field(init=False)
 
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)

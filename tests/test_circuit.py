@@ -12,8 +12,6 @@ from ucrbm.circuit import (
     prepare_visible_product,
     project_hidden_outcome,
     recombined_statevector,
-    run_recycle_protocol,
-    sample_hidden_outcome,
     sample_protocol_batch,
     verify_ensemble_identities,
 )
@@ -53,9 +51,11 @@ class TestApplyHiddenBlock:
     def test_identity_block_is_bitwise_noop(self):
         p = zero_params(2, 1)
         state = prepare_visible_product(p).with_plus_ancilla()
-        out, norm_sq = apply_hidden_block(state, p, 0)
-        assert norm_sq == 1.0
+        out = apply_hidden_block(state, p, 0)
         assert np.array_equal(out.amplitudes, state.amplitudes)
+        collapsed, prob = project_hidden_outcome(out, 1)
+        assert prob == pytest.approx(1.0)
+        np.testing.assert_allclose(collapsed.amplitudes, np.full(4, 0.5), atol=1e-14)
 
     def test_matches_dense_matrix_exponential(self):
         # one visible qubit + ancilla; generator (m_im*I(x)Z + w_im*Z(x)Z)
@@ -65,7 +65,7 @@ class TestApplyHiddenBlock:
             unitary_coupled=True,
         )
         state = prepare_visible_product(p).with_plus_ancilla()
-        out, _ = apply_hidden_block(state, p, 0)
+        out = apply_hidden_block(state, p, 0)
         gen = m_im * kron_chain([SI, SZ]) + w_im * kron_chain([SZ, SZ])
         expected = scipy.linalg.expm(1j * gen) @ state.amplitudes
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
@@ -74,42 +74,23 @@ class TestApplyHiddenBlock:
         for seed in range(100):
             p = random_init(3, 2, 0.5, seed, True)
             state = prepare_visible_product(p).with_plus_ancilla()
-            out, norm_sq = apply_hidden_block(state, p, seed % 2)
-            assert norm_sq == 1.0
+            out = apply_hidden_block(state, p, seed % 2)
             assert abs(out.norm - 1.0) < 1e-12
-
-    def test_nonunitary_block_matches_dense_and_reports_norm(self):
-        w = 0.3 + 0.7j
-        p = RbmParams(np.zeros(1, complex), np.zeros(1, complex), np.array([[w]]))
-        state = prepare_visible_product(p).with_plus_ancilla()
-        out, norm_sq = apply_hidden_block(state, p, 0)
-        gen = kron_chain([SZ, SZ])
-        op = scipy.linalg.expm(w.real * gen) @ scipy.linalg.expm(1j * w.imag * gen)
-        raw = op @ state.amplitudes
-        assert norm_sq == pytest.approx(np.linalg.norm(raw) ** 2, rel=1e-12)
-        np.testing.assert_allclose(out.amplitudes, raw / np.linalg.norm(raw), atol=1e-12)
 
     def test_rejects_consumed_ancilla(self):
         p = random_init(2, 2, 0.4, 1, True)
         state = prepare_visible_product(p).with_plus_ancilla()
-        blocked, _ = apply_hidden_block(state, p, 0)
+        blocked = apply_hidden_block(state, p, 0)
         with pytest.raises(ProtocolOrderError):
             apply_hidden_block(blocked, p, 1)
 
 
 class TestSampleHiddenOutcome:
-    def test_identity_block_gives_plus_with_certainty(self):
-        p = zero_params(2, 1)
-        state = prepare_visible_product(p).with_plus_ancilla()
-        s, collapsed, prob = sample_hidden_outcome(state, np.random.default_rng(0))
-        assert s == 1 and prob == pytest.approx(1.0)
-        np.testing.assert_allclose(collapsed.amplitudes, np.full(4, 0.5), atol=1e-14)
-
     def test_probabilities_are_complete(self):
         for seed in range(20):
             p = random_init(2, 2, 0.6, seed, True)
             state = prepare_visible_product(p).with_plus_ancilla()
-            blocked, _ = apply_hidden_block(state, p, 0)
+            blocked = apply_hidden_block(state, p, 0)
             _, p_plus = project_hidden_outcome(blocked, 1)
             _, p_minus = project_hidden_outcome(blocked, -1)
             assert abs(p_plus + p_minus - 1.0) < 1e-12
@@ -120,7 +101,7 @@ class TestSampleHiddenOutcome:
         p = RbmParams(np.zeros(1, complex), np.zeros(1, complex) + 0j,
                       np.array([[1j * w_im]]), unitary_coupled=True)
         state = prepare_visible_product(p).with_plus_ancilla()
-        blocked, _ = apply_hidden_block(state, p, 0)
+        blocked = apply_hidden_block(state, p, 0)
         unitary = scipy.linalg.expm(1j * w_im * kron_chain([SZ, SZ]))
         full = unitary @ state.amplitudes
         grid = full.reshape(2, 2)
@@ -132,36 +113,6 @@ class TestSampleHiddenOutcome:
 
 
 class TestRunRecycleProtocol:
-    def test_zero_parameters_trivial_run(self):
-        p = zero_params(3, 2)
-        sample = run_recycle_protocol(p, np.random.default_rng(1))
-        assert np.all(sample.s == 1)
-        assert sample.branch_prob == pytest.approx(1.0)
-        assert sample.weight == pytest.approx(1.0)
-        np.testing.assert_allclose(
-            sample.visible_state.amplitudes, np.full(8, 8**-0.5), atol=1e-14
-        )
-
-    def test_imaginary_hidden_bias_gives_binary_weights(self):
-        # Re(m) = 0 makes the minus outcome carry zero weight
-        p = random_init(2, 2, 0.4, 3, True)
-        p = RbmParams(p.b, 1j * p.m.imag, p.w, unitary_coupled=True)
-        rng = np.random.default_rng(7)
-        weights = [run_recycle_protocol(p, rng).weight for _ in range(40)]
-        for w, sample in zip(weights, range(40)):
-            assert w in (0.0, 1.0)
-
-    def test_rejects_unrestricted_couplings(self):
-        p = random_init(2, 2, 0.3, 0, False)
-        with pytest.raises(ValueError):
-            run_recycle_protocol(p, np.random.default_rng(0))
-
-    def test_shots_are_returned(self):
-        p = random_init(2, 2, 0.3, 0, True)
-        sample = run_recycle_protocol(p, np.random.default_rng(0), shots=11)
-        assert sample.z_shots.shape == (11, 2)
-        assert np.all(np.abs(sample.z_shots) == 1)
-
     def test_batch_sampler_frequencies_match_branch_table(self):
         # empirical outcome-history frequencies against enumerated probabilities
         p = random_init(2, 2, 0.5, 11, True)
@@ -223,10 +174,17 @@ class TestEnumerateBranches:
         assert table.branch_probs[0] == pytest.approx(1.0)
 
     def test_zero_parameters_single_live_branch(self):
-        table = enumerate_branches(zero_params(2, 2))
-        live = table.branch_probs > 0
-        assert live.sum() == 1
-        assert np.all(table.s[np.argmax(live)] == 1)
+        # the all-plus history carries probability 1, weight 1 and |+...+>
+        for n, m in ((2, 2), (3, 2)):
+            table = enumerate_branches(zero_params(n, m))
+            live = table.branch_probs > 0
+            assert live.sum() == 1
+            assert np.all(table.s[np.argmax(live)] == 1)
+            assert table.branch_probs[0] == pytest.approx(1.0)
+            assert table.weights[0] == 1.0
+            np.testing.assert_allclose(
+                table.states[0].amplitudes, np.full(2**n, 2 ** (-n / 2)), atol=1e-14
+            )
 
     def test_probabilities_sum_to_one(self):
         for seed in range(10):
@@ -240,12 +198,18 @@ class TestEnumerateBranches:
             rec = recombined_statevector(p, enumerate_branches(p))
             assert fidelity(rec, exact_statevector(p)) >= 1.0 - 1e-10
 
-    def test_recombination_with_unrestricted_couplings(self):
-        # the renormalized non-unitary path reconstructs the state too
-        for seed in range(10):
-            p = random_init(2, 3, 0.4, seed, False)
-            rec = recombined_statevector(p, enumerate_branches(p))
-            assert fidelity(rec, exact_statevector(p)) >= 1.0 - 1e-10
+    def test_rejects_unrestricted_couplings(self):
+        # refused before any other check: neither the consumed ancilla nor
+        # the hidden cap is reached
+        p = random_init(2, 2, 0.3, 0, False)
+        fresh = prepare_visible_product(p).with_plus_ancilla()
+        consumed = StateVector(3, np.array([1, 0, 0, 0, 0, 0, 0, 0], complex))
+        for state in (fresh, consumed):
+            with pytest.raises(ValueError, match="unitary couplings"):
+                apply_hidden_block(state, p, 0)
+        for params in (p, random_init(2, 13, 0.3, 0, False)):
+            with pytest.raises(ValueError, match="unitary couplings"):
+                enumerate_branches(params)
 
     def test_hidden_cap(self):
         with pytest.raises(SizeCapError):
@@ -287,12 +251,16 @@ class TestVerifyEnsembleIdentities:
 
     def test_nontrivial_weights_stay_bounded(self):
         p = random_init(2, 3, 0.5, 3, True)
-        report = verify_ensemble_identities(p)
-        table = enumerate_branches(p)
-        bound = float(np.prod(np.cosh(p.m.real) ** 2))
-        assert np.max(table.weights) <= bound + 1e-12
-        assert report.success_prob_error < 1e-10
-        assert np.any(np.abs(table.weights - 1.0) > 1e-6)
+        # Re m = 0 gives R_+ = 1 and R_- = 0, so every weight is 0 or 1
+        q = RbmParams(p.b, 1j * p.m.imag, p.w, unitary_coupled=True)
+        for params in (p, q):
+            report = verify_ensemble_identities(params)
+            table = enumerate_branches(params)
+            bound = float(np.prod(np.cosh(params.m.real) ** 2))
+            assert np.max(table.weights) <= bound + 1e-12
+            assert report.success_prob_error < 1e-10
+            assert np.any(np.abs(table.weights - 1.0) > 1e-6)
+        assert set(table.weights) <= {0.0, 1.0}
 
     def test_rejects_unrestricted(self):
         with pytest.raises(ValueError):
@@ -342,5 +310,12 @@ class TestBranchTableValidation:
                 branch_probs=np.array([0.5]),
                 weights=np.array([1.0]),
                 states=(StateVector(1, np.array([1.0, 0.0])),),
-                nonunitary_norms=np.ones(1),
             )
+
+
+class TestStateVectorValidation:
+    def test_norm_is_computed_not_passed(self):
+        amps = np.array([3.0, 4.0])
+        assert StateVector(1, amps).norm == 5.0
+        with pytest.raises(TypeError):
+            StateVector(1, amps, norm=1.0)

@@ -91,6 +91,16 @@ class TestExpectationExact:
         est = expectation_exact(zero_params(2, 0), build_tfi(2, 1.0))
         assert est.mode == "exact" and est.std_error == 0.0 and est.n_samples == 0
 
+    def test_rejects_non_finite_value(self, monkeypatch):
+        # H psi is a bare array with no finiteness check of its own
+        import ucrbm.estimators
+
+        monkeypatch.setattr(
+            ucrbm.estimators, "apply_h", lambda h, psi: np.full(4, np.nan, complex)
+        )
+        with pytest.raises(NumericalIntegrityError, match="non-finite"):
+            expectation_exact(zero_params(2, 2), build_tfi(2, 0.5))
+
 
 class TestExpectationVmc:
     def test_constant_local_energy_has_zero_error(self):
@@ -412,6 +422,38 @@ class TestSrStructuralIdentities:
             assert np.all(a[re, im] == 0.0)
             assert np.array_equal(a[np.ix_(re, re)], a[np.ix_(im, im)])
             assert np.array_equal(a[np.ix_(re, im)], -a[np.ix_(im, re)])
+
+    @pytest.mark.parametrize(
+        "mode, unitary",
+        [("exact", True), ("exact", False), ("vmc", True), ("vmc", False), ("ensemble", True)],
+    )
+    def test_real_form_gather_matches_block_form(self, monkeypatch, mode, unitary):
+        # A and C gathered through the cached slot layout equal the np.block
+        # real form of S indexed by the slot columns, entry for entry
+        import ucrbm.estimators
+
+        real_form = ucrbm.estimators._real_form
+        calls = []
+
+        def recording(s, g, layout):
+            out = real_form(s, g, layout)
+            calls.append((s, g, layout.slots, out))
+            return out
+
+        monkeypatch.setattr(ucrbm.estimators, "_real_form", recording)
+        h = build_tfi(3, 1.0)
+        p = random_init(3, 3, 0.3, 4, unitary)
+        if mode == "exact":
+            system = compute_a_c_exact(p, h)
+        else:
+            system = compute_a_c_sampled(p, h, 2000, np.random.default_rng(4), mode=mode)
+        system.a
+        ((s, g, slots, (a, c)),) = calls
+        expected = np.block([[s.real, -s.imag], [s.imag, s.real]])[slots][:, slots]
+        assert np.array_equal(a, expected)
+        assert np.array_equal(np.signbit(a), np.signbit(expected))
+        assert np.array_equal(c, np.concatenate([g.real, g.imag])[slots])
+        assert a is system.a and c is system.c
 
 
 class TestWeightedEstimatorUnbiasedness:
