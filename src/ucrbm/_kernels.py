@@ -3,14 +3,16 @@
 Kernel inputs are plain arrays; the wrapping modules own validation.
 
 Both kernels take the hidden angles theta = m + zW of their rows from the
-caller, which also feeds them to the log-derivative columns, so one theta
-pass serves a batch.  ``logpsi_batch`` gives the log-amplitudes (exact mode
+caller, so one theta pass serves a batch; ``local_energy_batch`` also takes
+tanh(theta), which the caller computes once and feeds to the log-derivative
+columns too.  ``logpsi_batch`` gives the log-amplitudes (exact mode
 builds its statevector from them).  ``local_energy_batch`` serves the
 sampled modes: it forms each amplitude ratio psi(z')/psi(z) from the flipped
 sites alone (the cached-angle update of Carleo & Troyer, Science 355, 602
 (2017)); exact mode gathers H psi from the full statevector instead.
 Under the unitary-coupled restriction the coupling sums over the flipped
-sites are imaginary, so the ratio needs only cos/sin and cannot overflow.
+sites are imaginary, so the ratio needs only cos/sin and cannot overflow;
+each factor is written in real arithmetic into one preallocated array.
 Unrestricted couplings keep the ratio in logs: the direct form
 cosh 2d - tanh(theta) sinh 2d cancels catastrophically once Re w is of
 order a few, where both terms grow like e^{2|Re d|}.
@@ -39,12 +41,12 @@ def logpsi_batch(zmat, theta, b):
     return zmat @ b + logcosh(theta).sum(axis=1)
 
 
-def local_energy_batch(zmat, theta, b, w, flips, elements, unitary_coupled):
+def local_energy_batch(zmat, theta, b, w, flips, elements, unitary_coupled, t):
     """Local observable sum_g H(z, z*flip_g) * psi(z*flip_g)/psi(z) per row.
 
     ``zmat`` holds U spin rows (float64), ``theta`` their (U, M) hidden
-    angles and ``elements`` the (U, C) matrix elements H(z, z*flip_g).  With
-    d_j = sum_{i flipped} w_ij z_i the ratio is
+    angles, ``t`` = tanh(theta) and ``elements`` the (U, C) matrix elements
+    H(z, z*flip_g).  With d_j = sum_{i flipped} w_ij z_i the ratio is
     exp(-2 sum_{i flipped} b_i z_i) prod_j cosh(theta_j - 2 d_j) / cosh(theta_j).
     """
     n = zmat.shape[1]
@@ -55,10 +57,20 @@ def local_energy_batch(zmat, theta, b, w, flips, elements, unitary_coupled):
     dlog = -2.0 * ((zmat * b) @ mask.T)
     flipped = (zmat[:, None, :] * mask).reshape(-1, n).T  # (N, U*C)
     if unitary_coupled:
-        # d_j = i delta_j: cosh(theta - 2d)/cosh(theta) = cos 2delta - i tanh(theta) sin 2delta
+        # d_j = i delta_j: cosh(theta - 2d)/cosh(theta) = cos 2delta - i tanh(theta) sin 2delta,
+        # written in real arithmetic into one complex array.
         two_delta = 2.0 * (w.imag.T @ flipped).reshape(shape)
-        t = np.tanh(theta).T[:, :, None]
-        ratio = np.exp(dlog) * (np.cos(two_delta) - 1j * t * np.sin(two_delta)).prod(axis=0)
+        sin = np.sin(two_delta)
+        cos = np.cos(two_delta, out=two_delta)
+        tt = t.T[:, :, None]
+        factor = np.empty(shape, dtype=np.complex128)
+        re, im = factor.real, factor.imag
+        np.multiply(tt.imag, sin, out=re)
+        np.add(cos, re, out=re)
+        np.multiply(tt.real, sin, out=im)
+        # 0 - x rather than -x: a zero keeps the + sign the complex form gave it.
+        np.subtract(0.0, im, out=im)
+        ratio = np.exp(dlog) * factor.prod(axis=0)
     else:
         d = (w.T @ flipped).reshape(shape)
         th = theta.T[:, :, None]

@@ -312,9 +312,9 @@ def sample_protocol_batch(
     if not params.unitary_coupled:
         raise ValueError("batched protocol sampling requires unitary couplings")
     p_up = 0.5 * (1.0 + np.tanh(2.0 * params.b.real))
-    zmat = np.where(rng.random((n_runs, params.n_visible)) < p_up, 1, -1).astype(np.int8)
+    zmat = np.where(rng.random((n_runs, params.n_visible)) < p_up, np.int8(1), np.int8(-1))
     phi = params.m.imag[None, :] + zmat.astype(np.float64) @ params.w.imag
-    s_out = np.where(rng.random(phi.shape) < np.cos(phi) ** 2, 1, -1).astype(np.int8)
+    s_out = np.where(rng.random(phi.shape) < np.cos(phi) ** 2, np.int8(1), np.int8(-1))
     r_vals = np.where(
         s_out == 1, np.cosh(params.m.real)[None, :], np.sinh(params.m.real)[None, :]
     )

@@ -21,10 +21,10 @@ and the derivative columns (tanh theta), and H psi comes from the
 row of vanishing amplitude can enter as 0 * inf and none is dropped.
 
 The sampled modes go through ``_evaluate``, which works once per distinct
-configuration with positive weight: rows are keyed by their packed bits and
-their weights summed, rows of weight 0 are dropped, and one hidden-angle
-pass per row feeds both the flipped-site local-energy kernel and the
-derivative columns.  Means, standard errors and preparation counts stay per
+configuration with positive weight: rows are keyed by their packed bits,
+read as integer words, and their weights summed, rows of weight 0 are
+dropped, and one hidden-angle pass theta and one tanh(theta) pass per row
+feed both the flipped-site local-energy kernel and the derivative columns.  Means, standard errors and preparation counts stay per
 sample, with local energies gathered back through the map from samples to
 rows.
 
@@ -60,9 +60,10 @@ from .rbm import (
     hidden_angles,
     log_amplitude,
     log_derivative_columns,
+    spin_rows,
     statevector_from_angles,
 )
-from .spins import all_spin_configs, as_spins, spins_to_string, string_to_spins
+from .spins import as_spins, spins_to_string, string_to_spins
 from .statevector import STATEVECTOR_CAP, StateVector, check_cap
 
 # Sign relating the raw covariance Re(<O_m^dag H> - <O_m^dag><H>) to the
@@ -189,15 +190,30 @@ def _draw_samples(params, n_samples, rng, mode):
 def _distinct_rows(zmat, wn):
     """Distinct rows of a sampled (K, N) spin batch, keyed by their packed
     bits (any N), with the summed normalized weight of each and the map
-    from samples to rows."""
-    keys = np.packbits(zmat < 0, axis=1)
-    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return zmat[first], np.bincount(inverse, weights=wn), inverse
+    from samples to rows.
+
+    The packed bits are padded to whole 8-byte words and read as big-endian
+    integers, so sorting them with the first word as the primary key gives
+    ``np.unique``'s bytewise order of the rows, and the stable sort keeps
+    the first sample of each row in front.
+    """
+    bits = np.packbits(zmat < 0, axis=1)
+    k, n_bytes = bits.shape
+    padded = np.zeros((k, -(-n_bytes // 8) * 8), dtype=np.uint8)
+    padded[:, :n_bytes] = bits
+    keys = padded.view(">u8").astype(np.uint64)
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(k, dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(k, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return zmat[order[starts]], np.bincount(inverse, weights=wn), inverse
 
 
-def _local_energies(params, h, rows, theta) -> np.ndarray:
-    """Local energies of float spin rows with hidden angles ``theta``."""
+def _local_energies(params, h, rows, theta, t) -> np.ndarray:
+    """Local energies of float spin rows with hidden angles ``theta`` and
+    t = tanh(theta)."""
     struct = connected_structure(h)
     return _kernels.local_energy_batch(
         rows,
@@ -207,15 +223,16 @@ def _local_energies(params, h, rows, theta) -> np.ndarray:
         struct.flips,
         struct.elements(rows),
         params.unitary_coupled,
+        t,
     )
 
 
 def _evaluate(params, h, zmat, wn):
     """Evaluate each distinct sampled configuration with positive weight once.
 
-    Returns those rows (float), their summed normalized weights, their
-    hidden angles and local energies, and the local energy of every sample
-    (0 for a sample of weight 0).
+    Returns those rows (float), their summed normalized weights, tanh of
+    their hidden angles, their local energies, and the local energy of every
+    sample (0 for a sample of weight 0).
     """
     rows, row_w, inverse = _distinct_rows(zmat, wn)
     # Rows of weight 0 carry nothing and are dropped; a row of vanishing
@@ -223,10 +240,11 @@ def _evaluate(params, h, zmat, wn):
     keep = row_w > 0.0
     rows = np.ascontiguousarray(rows[keep], dtype=np.float64)
     theta = hidden_angles(params, rows)
-    eloc_rows = _local_energies(params, h, rows, theta)
+    t = np.tanh(theta)
+    eloc_rows = _local_energies(params, h, rows, theta, t)
     eloc = np.zeros(keep.shape[0], dtype=np.complex128)
     eloc[keep] = eloc_rows
-    return rows, row_w[keep], theta, eloc_rows, eloc[inverse]
+    return rows, row_w[keep], t, eloc_rows, eloc[inverse]
 
 
 def _energy_estimate(eloc_real, weights, weight_sum, mode, n_samples) -> Estimate:
@@ -305,7 +323,7 @@ class _SlotLayout(NamedTuple):
 
     slots: np.ndarray  # (P,) column of [x, i*x] per slot (slot_columns)
     a_index: np.ndarray  # (P, P) flat index into S viewed as (D, 2D) floats
-    a_sign: np.ndarray  # (P, P) -1 where A takes -Im S, else +1
+    a_negate: np.ndarray  # (P, P) True where A takes -Im S
     c_index: np.ndarray  # (P,) index into g viewed as (2D,) floats
 
 
@@ -321,7 +339,7 @@ def _slot_layout(n_visible: int, n_hidden: int, unitary_coupled: bool) -> _SlotL
     layout = _SlotLayout(
         slots=slots,
         a_index=2 * (col[:, None] * d + col[None, :]) + cross,
-        a_sign=np.where(part[:, None] < part[None, :], -1.0, 1.0),
+        a_negate=part[:, None] < part[None, :],
         c_index=2 * col + part,
     )
     for arr in layout:
@@ -330,10 +348,10 @@ def _slot_layout(n_visible: int, n_hidden: int, unitary_coupled: bool) -> _SlotL
 
 
 def _real_form(s, g, layout: _SlotLayout):
-    """A and C in slot order: one gather each, and a sign product for A."""
+    """A and C in slot order: one gather each, and a masked negation for A."""
     s_floats = np.ascontiguousarray(s, dtype=np.complex128).view(np.float64)
     a = np.take(s_floats, layout.a_index)
-    a *= layout.a_sign
+    np.negative(a, out=a, where=layout.a_negate)
     g_floats = np.ascontiguousarray(g, dtype=np.complex128).view(np.float64)
     return a, g_floats[layout.c_index]
 
@@ -352,12 +370,10 @@ def _slot_system(params, s, f, energy, n_preparations) -> SrSystem:
 
 def _assemble_system(params, h, zmat, weights, mode, n_samples):
     weight_sum = _check_weights(weights)
-    rows, row_w, theta, eloc_rows, eloc = _evaluate(
-        params, h, zmat, weights / weight_sum
-    )
+    rows, row_w, t, eloc_rows, eloc = _evaluate(params, h, zmat, weights / weight_sum)
     # The (U, D) column arrays are freed before A is built: held here, they
     # raised the ensemble workload's peak RSS by about 5 MB.
-    s, f = _sampled_moments(log_derivative_columns(rows, theta), row_w, eloc_rows)
+    s, f = _sampled_moments(log_derivative_columns(rows, t), row_w, eloc_rows)
     energy = _energy_estimate(eloc.real, weights, weight_sum, mode, n_samples)
     return _slot_system(params, s, f, energy, n_samples)
 
@@ -376,20 +392,12 @@ class ExactPoint:
     energy: complex
 
 
-@lru_cache(maxsize=None)
-def _spin_rows(n: int) -> np.ndarray:
-    """Read-only float rows of ``all_spin_configs(n)``, built once per N."""
-    zmat = all_spin_configs(n).astype(np.float64)
-    zmat.flags.writeable = False
-    return zmat
-
-
 def exact_point(params: RbmParams, h: PauliHamiltonian) -> ExactPoint:
     """One theta = m + zW pass over the 2^N configurations, with H psi from
     the ``apply_h`` gather; ``energy.real`` is the exact energy."""
     n = params.n_visible
     check_cap(n, STATEVECTOR_CAP)
-    zmat = _spin_rows(n)
+    zmat = spin_rows(n)
     theta = hidden_angles(params, zmat)
     psi = statevector_from_angles(params, zmat, theta)
     e = psi.amplitudes.conj() * apply_h(h, psi)
@@ -409,7 +417,7 @@ def compute_a_c_exact(
     if point is None or point.params is not params:
         point = exact_point(params, h)
     p = point.psi.probabilities()
-    x = log_derivative_columns(point.zmat, point.theta)
+    x = log_derivative_columns(point.zmat, np.tanh(point.theta))
     s, _ = _covariance(x, p)
     f = ((point.e - p * point.energy).conj() @ x).conj()
     estimate = Estimate(mean=point.energy.real, std_error=0.0, n_samples=0, mode="exact")

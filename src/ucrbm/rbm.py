@@ -12,7 +12,7 @@ visible-hidden entangling operation a ZZ-phase gate in the circuit picture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -190,18 +190,21 @@ def hidden_angles(params: RbmParams, zmat: np.ndarray) -> np.ndarray:
     return params.m[None, :] + zmat @ params.w
 
 
-def log_derivative_columns(zmat: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def log_derivative_columns(zmat: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The N + M + N*M distinct log-derivative columns of a (K, N) batch
-    with hidden angles ``theta`` (``hidden_angles``).
+    whose hidden angles have tanh ``t`` (tanh of ``hidden_angles``).
 
-    Row k holds z_i, tanh(theta_j) and z_i*tanh(theta_j) (column j*N + i).
-    Every real parameter slot's derivative is one of them or i times one
-    (``VariationalIndex.slot_columns``).
+    Row k holds z_i, tanh(theta_j) and z_i*tanh(theta_j) (column j*N + i),
+    filled into one preallocated array.  Every real parameter slot's
+    derivative is one of them or i times one (``VariationalIndex.slot_columns``).
     """
-    t = np.tanh(theta)
-    zc = zmat.astype(np.complex128)
-    zt = np.einsum("kj,ki->kji", t, zc).reshape(zmat.shape[0], -1)
-    return np.concatenate([zc, t, zt], axis=1)
+    k, n = zmat.shape
+    m = t.shape[1]
+    x = np.empty((k, n + m + n * m), dtype=np.complex128)
+    x[:, :n] = zmat
+    x[:, n : n + m] = t
+    np.multiply(t[:, :, None], zmat[:, None, :], out=x[:, n + m :].reshape(k, m, n))
+    return x
 
 
 def log_derivatives_batch(params: RbmParams, zmat: np.ndarray) -> np.ndarray:
@@ -212,7 +215,7 @@ def log_derivatives_batch(params: RbmParams, zmat: np.ndarray) -> np.ndarray:
     z_i*tanh(theta_j), with theta_j = m_j + sum_i w_ij z_i.
     """
     zmat = np.ascontiguousarray(zmat, dtype=np.float64)
-    x = log_derivative_columns(zmat, hidden_angles(params, zmat))
+    x = log_derivative_columns(zmat, np.tanh(hidden_angles(params, zmat)))
     both = np.concatenate([x, 1j * x], axis=1)
     return both[:, VariationalIndex.for_params(params).slot_columns()]
 
@@ -233,12 +236,20 @@ def r_factor(m_real: float, s: int) -> float:
     raise ValueError(f"s must be +1 or -1, got {s!r}")
 
 
+@lru_cache(maxsize=None)
+def spin_rows(n: int) -> np.ndarray:
+    """Read-only float rows of ``all_spin_configs(n)``, built once per N."""
+    zmat = all_spin_configs(n).astype(np.float64)
+    zmat.flags.writeable = False
+    return zmat
+
+
 def exact_statevector(params: RbmParams, cap: int = STATEVECTOR_CAP) -> StateVector:
     """Normalized dense statevector, amplitude of z at its big-endian index;
     ``cap`` is the one size-cap override (see ``expectation_exact``)."""
     n = params.n_visible
     check_cap(n, cap)
-    zmat = all_spin_configs(n).astype(np.float64)
+    zmat = spin_rows(n)
     return statevector_from_angles(params, zmat, hidden_angles(params, zmat))
 
 

@@ -85,7 +85,7 @@ class TestApplyHiddenBlock:
             apply_hidden_block(blocked, p, 1)
 
 
-class TestSampleHiddenOutcome:
+class TestProjectHiddenOutcome:
     def test_probabilities_are_complete(self):
         for seed in range(20):
             p = random_init(2, 2, 0.6, seed, True)
@@ -110,22 +110,6 @@ class TestSampleHiddenOutcome:
             amps = grid @ bra
             _, prob = project_hidden_outcome(blocked, s)
             assert prob == pytest.approx(float(np.linalg.norm(amps) ** 2), abs=1e-13)
-
-
-class TestRunRecycleProtocol:
-    def test_batch_sampler_frequencies_match_branch_table(self):
-        # empirical outcome-history frequencies against enumerated probabilities
-        p = random_init(2, 2, 0.5, 11, True)
-        table = enumerate_branches(p)
-        n_runs = 100_000
-        smat, _, _ = sample_protocol_batch(p, n_runs, np.random.default_rng(17))
-        keys = (smat == -1) @ np.array([2, 1])
-        counts = np.bincount(keys, minlength=4)
-        table_keys = (table.s == -1) @ np.array([2, 1])
-        for row, key in enumerate(table_keys):
-            prob = table.branch_probs[row]
-            sigma = np.sqrt(max(prob * (1 - prob), 1e-12) / n_runs)
-            assert abs(counts[key] / n_runs - prob) < 4 * sigma + 1e-4
 
 
 class TestBatchSamplerLaw:
@@ -165,6 +149,20 @@ class TestBatchSamplerLaw:
         assert zmat.shape == (50, 3) and zmat.dtype == np.int8
         assert np.all(np.abs(zmat) == 1)
         assert np.all(weights == 1.0)
+
+    def test_batch_sampler_frequencies_match_branch_table(self):
+        # empirical outcome-history frequencies against enumerated probabilities
+        p = random_init(2, 2, 0.5, 11, True)
+        table = enumerate_branches(p)
+        n_runs = 100_000
+        smat, _, _ = sample_protocol_batch(p, n_runs, np.random.default_rng(17))
+        keys = (smat == -1) @ np.array([2, 1])
+        counts = np.bincount(keys, minlength=4)
+        table_keys = (table.s == -1) @ np.array([2, 1])
+        for row, key in enumerate(table_keys):
+            prob = table.branch_probs[row]
+            sigma = np.sqrt(max(prob * (1 - prob), 1e-12) / n_runs)
+            assert abs(counts[key] / n_runs - prob) < 4 * sigma + 1e-4
 
 
 class TestEnumerateBranches:

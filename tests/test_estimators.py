@@ -9,6 +9,7 @@ from ucrbm.estimators import (
     C_SIGN,
     Estimate,
     SrSystem,
+    _distinct_rows,
     compute_a_c_exact,
     compute_a_c_from_log,
     compute_a_c_sampled,
@@ -380,6 +381,33 @@ class TestComputeAcSampled:
         assert replayed.energy.std_error == pytest.approx(
             original.energy.std_error, rel=1e-12
         )
+
+
+def void_key_rows(zmat, wn):
+    """``_distinct_rows`` by ``np.unique`` over the packed rows as void keys."""
+    keys = np.packbits(zmat < 0, axis=1)
+    keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return zmat[first], np.bincount(inverse, weights=wn), inverse
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("n", [1, 8, 9, 64, 65, 70])
+    def test_matches_void_key_unique_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        base = rng.choice(np.array([1, -1], dtype=np.int8), size=(40, n))
+        # rows one spin apart at each end of the packed key's bytes and words
+        for site in {0, 7, 8, 63, 64, n - 1} & set(range(n)):
+            base[site % 40] = base[39]
+            base[site % 40, site] *= -1
+        zmat = base[rng.integers(0, 40, size=300)]  # duplicated, shuffled
+        wn = rng.random(300)
+        wn[rng.random(300) < 0.2] = 0.0
+        wn /= wn.sum()
+        got, want = _distinct_rows(zmat, wn), void_key_rows(zmat, wn)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
 
 
 class TestStatevectorCap:

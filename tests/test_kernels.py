@@ -3,7 +3,14 @@ import pytest
 
 from ucrbm import _kernels
 from ucrbm.estimators import _local_energies, local_observable
-from ucrbm.hamiltonians import TqdParams, build_afh, build_tfi, build_tqd, load_bundled
+from ucrbm.hamiltonians import (
+    TqdParams,
+    build_afh,
+    build_tfi,
+    build_tqd,
+    connected_structure,
+    load_bundled,
+)
 from ucrbm.rbm import RbmParams, hidden_angles, random_init
 from ucrbm.spins import all_spin_configs
 
@@ -35,7 +42,8 @@ def assert_matches_oracle(params, h):
     per-configuration log-amplitude oracle, to 1e-10 relative per row."""
     zmat = all_spin_configs(h.n_qubits)
     rows = zmat.astype(np.float64)
-    got = _local_energies(params, h, rows, hidden_angles(params, rows))
+    theta = hidden_angles(params, rows)
+    got = _local_energies(params, h, rows, theta, np.tanh(theta))
     ref = np.array([local_observable(params, z, h) for z in zmat])
     assert np.all(np.isfinite(ref))
     assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref))
@@ -63,6 +71,34 @@ class TestLocalEnergyBatch:
     def test_no_hidden_units(self):
         h = build_afh(3)
         assert_matches_oracle(random_init(3, 0, 0.5, 1, True), h)
+
+
+def complex_form_energies(params, h, rows, theta):
+    """The unitary-coupled local energies with each ratio factor built as the
+    complex expression cos 2delta - 1j * tanh(theta) * sin 2delta."""
+    struct = connected_structure(h)
+    flips, n = struct.flips, rows.shape[1]
+    shape = (params.n_hidden, rows.shape[0], flips.shape[0])
+    mask = 0.5 * (1.0 - flips)
+    dlog = -2.0 * ((rows * params.b) @ mask.T)
+    flipped = (rows[:, None, :] * mask).reshape(-1, n).T
+    two_delta = 2.0 * (params.w.imag.T @ flipped).reshape(shape)
+    t = np.tanh(theta).T[:, :, None]
+    ratio = np.exp(dlog) * (np.cos(two_delta) - 1j * t * np.sin(two_delta)).prod(axis=0)
+    return (struct.elements(rows) * ratio).sum(axis=1)
+
+
+class TestUnitaryRatio:
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_matches_complex_expression_bitwise(self, model):
+        h = MODELS[model]()
+        rows = all_spin_configs(h.n_qubits).astype(np.float64)
+        for seed in range(2):
+            params = random_init(h.n_qubits, 3, 1.5, seed, True)
+            theta = hidden_angles(params, rows)
+            got = _local_energies(params, h, rows, theta, np.tanh(theta))
+            want = complex_form_energies(params, h, rows, theta)
+            assert got.tobytes() == want.tobytes()
 
 
 class TestBackendSelection:

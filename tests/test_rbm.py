@@ -15,6 +15,7 @@ from ucrbm.rbm import (
     hidden_angles,
     log_amplitude,
     log_amplitude_batch,
+    log_derivative_columns,
     log_derivatives,
     r_factor,
     random_init,
@@ -211,6 +212,18 @@ class TestLogDerivatives:
                     - log_amplitude(index.unflatten(theta - bump), z)
                 ) / (2 * step)
                 assert abs(fd - derivs[slot]) < 1e-6
+
+
+    @pytest.mark.parametrize("m", [3, 0])
+    @pytest.mark.parametrize("unitary", [True, False])
+    def test_columns_match_einsum_concatenate(self, unitary, m):
+        p = random_init(4, m, 0.7, 5, unitary)
+        zmat = all_spin_configs(4).astype(np.float64)
+        t = np.tanh(hidden_angles(p, zmat))
+        zc = zmat.astype(np.complex128)
+        zt = np.einsum("kj,ki->kji", t, zc).reshape(zmat.shape[0], -1)
+        want = np.concatenate([zc, t, zt], axis=1)
+        assert log_derivative_columns(zmat, t).tobytes() == want.tobytes()
 
 
 class TestVariationalIndex:
