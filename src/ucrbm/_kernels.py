@@ -11,8 +11,13 @@ sampled modes: it forms each amplitude ratio psi(z')/psi(z) from the flipped
 sites alone (the cached-angle update of Carleo & Troyer, Science 355, 602
 (2017)); exact mode gathers H psi from the full statevector instead.
 Under the unitary-coupled restriction the coupling sums over the flipped
-sites are imaginary, so the ratio needs only cos/sin and cannot overflow;
-each factor is written in real arithmetic into one preallocated array.
+sites are imaginary, so each hidden factor of the ratio needs only cos/sin
+and cannot overflow.  Flipping site i shifts hidden phase j by 2 Im w_ij z_i,
+so cos/sin of every shift come from per-step (M, N + 1) tables of
+cos/sin(2 Im w): a sign flip for a group's first site and angle addition for
+each further one, with no trig per row.  Each factor is written in real
+arithmetic into one preallocated array; the bias exponent is summed over the
+flipped sites before its one exp, so it overflows only where the ratio does.
 Unrestricted couplings keep the ratio in logs: the direct form
 cosh 2d - tanh(theta) sinh 2d cancels catastrophically once Re w is of
 order a few, where both terms grow like e^{2|Re d|}.
@@ -41,27 +46,38 @@ def logpsi_batch(zmat, theta, b):
     return zmat @ b + logcosh(theta).sum(axis=1)
 
 
-def local_energy_batch(zmat, theta, b, w, flips, elements, unitary_coupled, t):
+def local_energy_batch(zmat, theta, b, w, flips, elements, unitary_coupled, t, flip_sites):
     """Local observable sum_g H(z, z*flip_g) * psi(z*flip_g)/psi(z) per row.
 
     ``zmat`` holds U spin rows (float64), ``theta`` their (U, M) hidden
     angles, ``t`` = tanh(theta) and ``elements`` the (U, C) matrix elements
-    H(z, z*flip_g).  With d_j = sum_{i flipped} w_ij z_i the ratio is
+    H(z, z*flip_g).  ``flips`` (C, N) and ``flip_sites`` (C, k) are the
+    connected structure's flip signs and flipped sites, padded with N; the
+    unitary-coupled branch reads the sites, the unrestricted one the signs.
+    With d_j = sum_{i flipped} w_ij z_i the ratio is
     exp(-2 sum_{i flipped} b_i z_i) prod_j cosh(theta_j - 2 d_j) / cosh(theta_j).
     """
-    n = zmat.shape[1]
+    u, n = zmat.shape
     # Hidden units lead, (M, U, C): the product over them then runs over
     # contiguous planes, about ten times faster than over the last axis.
-    shape = (w.shape[1], zmat.shape[0], flips.shape[0])
-    mask = 0.5 * (1.0 - flips)  # (C, N): 1 on the sites group g flips
-    dlog = -2.0 * ((zmat * b) @ mask.T)
-    flipped = (zmat[:, None, :] * mask).reshape(-1, n).T  # (N, U*C)
+    shape = (w.shape[1], u, flips.shape[0])
     if unitary_coupled:
-        # d_j = i delta_j: cosh(theta - 2d)/cosh(theta) = cos 2delta - i tanh(theta) sin 2delta,
-        # written in real arithmetic into one complex array.
-        two_delta = 2.0 * (w.imag.T @ flipped).reshape(shape)
-        sin = np.sin(two_delta)
-        cos = np.cos(two_delta, out=two_delta)
+        # d_j = i delta_j: cosh(theta - 2d)/cosh(theta) = cos 2delta - i tanh(theta) sin 2delta.
+        # Tables of cos/sin(2 Im w_ij), (M, N + 1); the pad column N is the
+        # zero shift, (1, 0), and pads z with 1.
+        two_w = np.zeros((w.shape[1], n + 1))
+        np.multiply(2.0, w.imag.T, out=two_w[:, :n])
+        cos_w, sin_w = np.cos(two_w), np.sin(two_w)
+        z = np.ones((u, n + 1))
+        z[:, :n] = zmat
+        first = flip_sites[:, 0]
+        cos = cos_w[:, None, first]  # (M, 1, C): cos is even in z
+        sin = sin_w[:, None, first] * z[None, :, first]
+        for sites in flip_sites.T[1:]:
+            c = cos_w[:, None, sites]
+            sz = sin_w[:, None, sites] * z[None, :, sites]
+            cos, sin = cos * c - sin * sz, sin * c + cos * sz
+        # The factor in real arithmetic, written into one complex array.
         tt = t.T[:, :, None]
         factor = np.empty(shape, dtype=np.complex128)
         re, im = factor.real, factor.imag
@@ -70,8 +86,15 @@ def local_energy_batch(zmat, theta, b, w, flips, elements, unitary_coupled, t):
         np.multiply(tt.real, sin, out=im)
         # 0 - x rather than -x: a zero keeps the + sign the complex form gave it.
         np.subtract(0.0, im, out=im)
-        ratio = np.exp(dlog) * factor.prod(axis=0)
+        # One exp of the summed bias exponent, -2 b_i z_i gathered per site
+        # (0 on the pad): a product of per-site exps could give 0 * inf.
+        bias = np.zeros((u, n + 1), dtype=np.complex128)
+        np.multiply(-2.0, zmat * b, out=bias[:, :n])
+        ratio = np.exp(bias[:, flip_sites].sum(axis=2)) * factor.prod(axis=0)
     else:
+        mask = 0.5 * (1.0 - flips)  # (C, N): 1 on the sites group g flips
+        dlog = -2.0 * ((zmat * b) @ mask.T)
+        flipped = (zmat[:, None, :] * mask).reshape(-1, n).T  # (N, U*C)
         d = (w.T @ flipped).reshape(shape)
         th = theta.T[:, :, None]
         shifted = logcosh(th - 2.0 * d) - logcosh(th)

@@ -224,6 +224,7 @@ def _local_energies(params, h, rows, theta, t) -> np.ndarray:
         struct.elements(rows),
         params.unitary_coupled,
         t,
+        struct.flip_sites,
     )
 
 

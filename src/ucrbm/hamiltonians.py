@@ -363,15 +363,25 @@ class ConnectedStructure:
     """Words grouped by their X mask for row-wise application.
 
     A word with masks (x, z) maps the bra z to the ket z' = z * flips[g],
-    g being the group of x.  Its element is pref * prod of z_i over the
-    word's Z mask, with pref = coeff * (-i)^|x & z|; ``group_pref`` holds
-    each word's pref in its group's column, so summing a group is a matmul.
+    g being the group of x.  Row g of ``flip_sites`` lists the sites that
+    group g flips in increasing order, padded with N; its width k is the
+    most sites any group flips, at least 1, so the identity group is all
+    padding.  A word's element is pref * prod of z_i over its Z mask, with
+    pref = coeff * (-i)^|x & z|; ``group_pref`` holds each word's pref in
+    its group's column, so summing a group is a matmul.  The structure is
+    cached and shared, so every array is read-only.
     """
 
     flips: np.ndarray = field(repr=False)  # (C, N) float64 in {+1, -1}
     flip_bits: np.ndarray = field(repr=False)  # (C,) int64 XOR masks on indices
+    flip_sites: np.ndarray = field(repr=False)  # (C, k) intp sites, padded with N
     z_mask: np.ndarray = field(repr=False)  # (N, n_words) float64 in {0, 1}
     group_pref: np.ndarray = field(repr=False)  # (n_words, C) complex128
+
+    def __post_init__(self):
+        for array in (self.flips, self.flip_bits, self.flip_sites, self.z_mask,
+                      self.group_pref):
+            array.flags.writeable = False
 
     @property
     def n_groups(self) -> int:
@@ -409,9 +419,16 @@ def connected_structure(h: PauliHamiltonian) -> ConnectedStructure:
     for k, ((coeff, _), (x, z)) in enumerate(zip(h.terms, bits)):
         group_pref[k, group[x]] = coeff * (-1j) ** (x & z).bit_count()
     z_mask = _bit_columns([z for _, z in bits], n).T
+    columns = _bit_columns(order, n)
+    width = max(1, columns.sum(axis=1).max())
+    flip_sites = np.full((len(order), width), n, dtype=np.intp)
+    for g, row in enumerate(columns):
+        sites = np.flatnonzero(row)
+        flip_sites[g, : sites.size] = sites
     return ConnectedStructure(
-        flips=1.0 - 2.0 * _bit_columns(order, n),
+        flips=1.0 - 2.0 * columns,
         flip_bits=np.array(order, dtype=np.int64),
+        flip_sites=flip_sites,
         z_mask=np.ascontiguousarray(z_mask, dtype=np.float64),
         group_pref=group_pref,
     )

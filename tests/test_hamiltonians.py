@@ -18,6 +18,7 @@ from ucrbm.hamiltonians import (
     build_tfi,
     build_tqd,
     connected_states,
+    connected_structure,
     dense_matrix,
     exact_ground,
     jordan_wigner,
@@ -325,6 +326,52 @@ class TestApplication:
                 reconstructed[spins_to_index(z_prime)] += element
             assert np.max(np.abs(reconstructed - row)) < 1e-12
         assert len(connected_states(h, index_to_spins(0, 3))) <= h.n_terms
+
+
+STRUCTURE_MODELS = {
+    "tfi": lambda: build_tfi(5, 0.7),
+    "tfi-zero-field": lambda: build_tfi(4, 0.0),  # diagonal only
+    "afh": lambda: build_afh(4),
+    "tqd": lambda: build_tqd(TqdParams(b_field=0.3)),
+    "tqd-density": lambda: build_tqd(TqdParams(b_field=0.3), include_density_coupling=True),
+    **{name: (lambda name=name: load_bundled(name)) for name in BUNDLED_FILES},
+    "random": lambda: random_pauli_hamiltonian(np.random.default_rng(3), 5, 12),
+}
+
+
+class TestConnectedStructure:
+    @pytest.mark.parametrize("model", sorted(STRUCTURE_MODELS))
+    def test_flip_sites_list_each_groups_flipped_sites(self, model):
+        h = STRUCTURE_MODELS[model]()
+        n = h.n_qubits
+        struct = connected_structure(h)
+        sites = struct.flip_sites
+        assert sites.dtype == np.intp
+        assert sites.shape[0] == struct.n_groups
+        counts = (struct.flips < 0).sum(axis=1)
+        assert sites.shape[1] == max(1, counts.max())
+        for g in range(struct.n_groups):
+            row = sites[g]
+            listed = row[row < n]
+            assert np.all(row[listed.size:] == n)  # padding trails
+            np.testing.assert_array_equal(listed, np.flatnonzero(struct.flips[g] < 0))
+            xor = 0
+            for i in listed:
+                xor ^= 1 << (n - 1 - int(i))
+            assert xor == struct.flip_bits[g]
+
+    def test_diagonal_only_is_all_padding(self):
+        h = PauliHamiltonian(3, ((1.0, "ZZI"), (-0.5, "IIZ"), (0.2, "III")))
+        sites = connected_structure(h).flip_sites
+        assert sites.shape == (1, 1)
+        assert sites[0, 0] == 3
+
+    def test_arrays_are_read_only(self):
+        struct = connected_structure(build_afh(3))
+        for arr in (struct.flips, struct.flip_bits, struct.flip_sites,
+                    struct.z_mask, struct.group_pref):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 0
 
 
 class TestExactGround:

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ucrbm import _kernels
 from ucrbm.estimators import _local_energies, local_observable
 from ucrbm.hamiltonians import (
+    PauliHamiltonian,
     TqdParams,
     build_afh,
     build_tfi,
@@ -73,8 +76,8 @@ class TestLocalEnergyBatch:
         assert_matches_oracle(random_init(3, 0, 0.5, 1, True), h)
 
 
-def complex_form_energies(params, h, rows, theta):
-    """The unitary-coupled local energies with each ratio factor built as the
+def complex_form_ratios(params, h, rows, theta):
+    """(U, C) unitary-coupled amplitude ratios with each factor built as the
     complex expression cos 2delta - 1j * tanh(theta) * sin 2delta."""
     struct = connected_structure(h)
     flips, n = struct.flips, rows.shape[1]
@@ -84,21 +87,92 @@ def complex_form_energies(params, h, rows, theta):
     flipped = (rows[:, None, :] * mask).reshape(-1, n).T
     two_delta = 2.0 * (params.w.imag.T @ flipped).reshape(shape)
     t = np.tanh(theta).T[:, :, None]
-    ratio = np.exp(dlog) * (np.cos(two_delta) - 1j * t * np.sin(two_delta)).prod(axis=0)
-    return (struct.elements(rows) * ratio).sum(axis=1)
+    return np.exp(dlog) * (np.cos(two_delta) - 1j * t * np.sin(two_delta)).prod(axis=0)
+
+
+def kernel_ratios(params, h, rows, theta):
+    """(U, C) ratios from the kernel, one group at a time: one-hot matrix
+    elements make its local energy that group's ratio."""
+    struct = connected_structure(h)
+    out = np.empty((rows.shape[0], struct.n_groups), dtype=np.complex128)
+    for g in range(struct.n_groups):
+        onehot = np.zeros_like(out)
+        onehot[:, g] = 1.0
+        out[:, g] = _kernels.local_energy_batch(
+            rows, theta, params.b, params.w, struct.flips, onehot, True,
+            np.tanh(theta), struct.flip_sites,
+        )
+    return out
 
 
 class TestUnitaryRatio:
+    # A group that flips at most one site (every group of TFI) takes cos/sin
+    # of its site's own table entry: cos is even, sin is odd and doubling is
+    # exact, so its ratios equal the complex form's exactly.  Groups that flip
+    # several sites add their angles, which rounds differently from trig of
+    # the summed angle.
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_matches_complex_expression_bitwise(self, model):
         h = MODELS[model]()
         rows = all_spin_configs(h.n_qubits).astype(np.float64)
+        single = (connected_structure(h).flips < 0).sum(axis=1) <= 1
         for seed in range(2):
             params = random_init(h.n_qubits, 3, 1.5, seed, True)
             theta = hidden_angles(params, rows)
-            got = _local_energies(params, h, rows, theta, np.tanh(theta))
-            want = complex_form_energies(params, h, rows, theta)
-            assert got.tobytes() == want.tobytes()
+            got = kernel_ratios(params, h, rows, theta)
+            want = complex_form_ratios(params, h, rows, theta)
+            assert np.all(got[:, single] == want[:, single])
+            multi = ~single
+            assert np.all(np.abs(got - want)[:, multi] <= 1e-13 * np.abs(want[:, multi]))
+            energies = _local_energies(params, h, rows, theta, np.tanh(theta))
+            want_energies = (connected_structure(h).elements(rows) * want).sum(axis=1)
+            if single.all():
+                assert energies.tobytes() == want_energies.tobytes()
+            else:
+                assert np.all(np.abs(energies - want_energies) <= 1e-13 * np.abs(want_energies))
+
+    def test_tfi10_energies_bitwise(self):
+        h = build_tfi(10, 0.5)
+        rows = all_spin_configs(10).astype(np.float64)
+        params = random_init(10, 10, 0.5, 7, True)
+        theta = hidden_angles(params, rows)
+        got = _local_energies(params, h, rows, theta, np.tanh(theta))
+        ratios = complex_form_ratios(params, h, rows, theta)
+        want = (connected_structure(h).elements(rows) * ratios).sum(axis=1)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestUnitaryOverflow:
+    def test_large_opposite_biases_on_a_two_site_group(self):
+        # -2(b_0 z_0 + b_1 z_1) = 0 on rows with z_0 = z_1, while each site's
+        # own exponent is about -+800: exp of the sum is 1, a product of
+        # per-site exps would be inf * 0.
+        h = PauliHamiltonian(3, ((1.0, "XXI"), (0.5, "ZZI"), (-0.7, "IIX"), (0.3, "ZIZ")))
+        p = random_init(3, 2, 0.5, 5, True)
+        b = p.b + np.array([400.0, -400.0, 0.0])
+        params = RbmParams(b, p.m, p.w, unitary_coupled=True)
+        zmat = all_spin_configs(3)
+        assert_moderate_rows_match_oracle(params, h, zmat[zmat[:, 0] == zmat[:, 1]])
+
+    def test_couplings_of_many_multiples_of_pi(self):
+        h = build_afh(4)
+        p = random_init(4, 3, 0.5, 6, True)
+        turns = np.random.default_rng(6).integers(-1000, 1000, size=p.w.shape)
+        params = RbmParams(p.b, p.m, p.w + 1j * np.pi * turns, unitary_coupled=True)
+        assert_moderate_rows_match_oracle(params, h, all_spin_configs(4))
+
+
+def assert_moderate_rows_match_oracle(params, h, zmat):
+    """Finite local energies equal to the log-amplitude oracle to 1e-10
+    relative per row, with no RuntimeWarning."""
+    rows = zmat.astype(np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta = hidden_angles(params, rows)
+        got = _local_energies(params, h, rows, theta, np.tanh(theta))
+        ref = np.array([local_observable(params, z, h) for z in zmat])
+    assert np.all(np.isfinite(got)) and np.all(np.isfinite(ref))
+    assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref))
 
 
 class TestBackendSelection:
