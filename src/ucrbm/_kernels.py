@@ -52,8 +52,9 @@ def local_energy_batch(zmat, theta, b, w, flips, elements, unitary_coupled, t, f
     ``zmat`` holds U spin rows (float64), ``theta`` their (U, M) hidden
     angles, ``t`` = tanh(theta) and ``elements`` the (U, C) matrix elements
     H(z, z*flip_g).  ``flips`` (C, N) and ``flip_sites`` (C, k) are the
-    connected structure's flip signs and flipped sites, padded with N; the
-    unitary-coupled branch reads the sites, the unrestricted one the signs.
+    connected structure's flip signs and flipped sites, padded with N; both
+    branches sum the bias exponent over the signs, and the unitary-coupled
+    branch reads its angle tables at the sites.
     With d_j = sum_{i flipped} w_ij z_i the ratio is
     exp(-2 sum_{i flipped} b_i z_i) prod_j cosh(theta_j - 2 d_j) / cosh(theta_j).
     """
@@ -61,6 +62,8 @@ def local_energy_batch(zmat, theta, b, w, flips, elements, unitary_coupled, t, f
     # Hidden units lead, (M, U, C): the product over them then runs over
     # contiguous planes, about ten times faster than over the last axis.
     shape = (w.shape[1], u, flips.shape[0])
+    mask = 0.5 * (1.0 - flips)  # (C, N): 1 on the sites group g flips
+    dlog = -2.0 * ((zmat * b) @ mask.T)
     if unitary_coupled:
         # d_j = i delta_j: cosh(theta - 2d)/cosh(theta) = cos 2delta - i tanh(theta) sin 2delta.
         # Tables of cos/sin(2 Im w_ij), (M, N + 1); the pad column N is the
@@ -86,14 +89,8 @@ def local_energy_batch(zmat, theta, b, w, flips, elements, unitary_coupled, t, f
         np.multiply(tt.real, sin, out=im)
         # 0 - x rather than -x: a zero keeps the + sign the complex form gave it.
         np.subtract(0.0, im, out=im)
-        # One exp of the summed bias exponent, -2 b_i z_i gathered per site
-        # (0 on the pad): a product of per-site exps could give 0 * inf.
-        bias = np.zeros((u, n + 1), dtype=np.complex128)
-        np.multiply(-2.0, zmat * b, out=bias[:, :n])
-        ratio = np.exp(bias[:, flip_sites].sum(axis=2)) * factor.prod(axis=0)
+        ratio = np.exp(dlog) * factor.prod(axis=0)
     else:
-        mask = 0.5 * (1.0 - flips)  # (C, N): 1 on the sites group g flips
-        dlog = -2.0 * ((zmat * b) @ mask.T)
         flipped = (zmat[:, None, :] * mask).reshape(-1, n).T  # (N, U*C)
         d = (w.T @ flipped).reshape(shape)
         th = theta.T[:, :, None]

@@ -105,19 +105,27 @@ def kernel_ratios(params, h, rows, theta):
     return out
 
 
+# (model, hidden units) of each TestUnitaryRatio case.
+RATIO_CASES = {
+    **{name: (build, 3) for name, build in MODELS.items()},
+    "tfi10": (lambda: build_tfi(10, 0.5), 10),
+}
+
+
 class TestUnitaryRatio:
     # A group that flips at most one site (every group of TFI) takes cos/sin
     # of its site's own table entry: cos is even, sin is odd and doubling is
     # exact, so its ratios equal the complex form's exactly.  Groups that flip
     # several sites add their angles, which rounds differently from trig of
-    # the summed angle.
-    @pytest.mark.parametrize("model", sorted(MODELS))
-    def test_matches_complex_expression_bitwise(self, model):
-        h = MODELS[model]()
+    # the summed angle: they are checked to 1e-13 relative, not bitwise.
+    @pytest.mark.parametrize("case", sorted(RATIO_CASES))
+    def test_matches_complex_expression_bitwise(self, case):
+        build, m = RATIO_CASES[case]
+        h = build()
         rows = all_spin_configs(h.n_qubits).astype(np.float64)
         single = (connected_structure(h).flips < 0).sum(axis=1) <= 1
         for seed in range(2):
-            params = random_init(h.n_qubits, 3, 1.5, seed, True)
+            params = random_init(h.n_qubits, m, 1.5, seed, True)
             theta = hidden_angles(params, rows)
             got = kernel_ratios(params, h, rows, theta)
             want = complex_form_ratios(params, h, rows, theta)
@@ -130,16 +138,6 @@ class TestUnitaryRatio:
                 assert energies.tobytes() == want_energies.tobytes()
             else:
                 assert np.all(np.abs(energies - want_energies) <= 1e-13 * np.abs(want_energies))
-
-    def test_tfi10_energies_bitwise(self):
-        h = build_tfi(10, 0.5)
-        rows = all_spin_configs(10).astype(np.float64)
-        params = random_init(10, 10, 0.5, 7, True)
-        theta = hidden_angles(params, rows)
-        got = _local_energies(params, h, rows, theta, np.tanh(theta))
-        ratios = complex_form_ratios(params, h, rows, theta)
-        want = (connected_structure(h).elements(rows) * ratios).sum(axis=1)
-        assert got.tobytes() == want.tobytes()
 
 
 class TestUnitaryOverflow:
