@@ -195,17 +195,22 @@ def recombined_statevector(params: RbmParams, table: BranchTable) -> StateVector
     return StateVector(params.n_visible, acc).normalized()
 
 
+def measure_indices(
+    state: StateVector, shots: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Born-rule samples from |amplitude|^2, returned as (shots,) basis indices."""
+    if abs(state.norm - 1.0) > 1e-8:
+        raise ValueError("measurement expects a normalized state")
+    probs = state.probabilities()
+    probs = probs / probs.sum()
+    return rng.choice(probs.shape[0], size=shots, p=probs)
+
+
 def measure_visible(
     state: StateVector, shots: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Born-rule samples from |amplitude|^2, returned as (shots, N) spins."""
-    if abs(state.norm - 1.0) > 1e-8:
-        raise ValueError("measure_visible expects a normalized state")
-    probs = state.probabilities()
-    probs = probs / probs.sum()
-    idx = rng.choice(probs.shape[0], size=shots, p=probs)
-    zmat = all_spin_configs(state.n_qubits)
-    return zmat[idx]
+    return all_spin_configs(state.n_qubits)[measure_indices(state, shots, rng)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,20 +13,25 @@ The sampled modes share one accumulation path: all A entries, the C vector
 and the energy come from one sample stream, one state preparation per sample,
 drawn serially from the caller's generator, so a seed fixes the result.
 
-Exact mode makes one dense pass over the 2^N configurations
+Exact mode and vmc make one dense pass over the 2^N configurations
 (``exact_point``, which the solver also uses to try step sizes): one
 hidden-angle pass theta = m + zW gives the amplitudes psi (log cosh theta)
 and the derivative columns (tanh theta), and H psi comes from the
-``apply_h`` gather.  e = conj(psi) H psi is p E_loc with no division, so no
-row of vanishing amplitude can enter as 0 * inf and none is dropped.
+``apply_h`` gather.  Exact mode weighs every configuration: e = conj(psi)
+H psi is p E_loc with no division, so no row of vanishing amplitude can
+enter as 0 * inf and none is dropped.  vmc draws basis indices from the
+pass's |psi|^2; its rows are the indices of positive summed weight, each
+with the local energy (H psi)(z)/psi(z) and tanh theta gathered from the
+pass.
 
-The sampled modes go through ``_evaluate``, which works once per distinct
-configuration with positive weight: rows are keyed by their packed bits,
-read as integer words, and their weights summed, rows of weight 0 are
-dropped, and one hidden-angle pass theta and one tanh(theta) pass per row
-feed both the flipped-site local-energy kernel and the derivative columns.  Means, standard errors and preparation counts stay per
-sample, with local energies gathered back through the map from samples to
-rows.
+The ensemble mode has no statevector and no 2^N cap, so it goes through
+``_evaluate``, which works once per distinct configuration with positive
+weight: rows are keyed by their packed bits, read as integer words, and
+their weights summed, rows of weight 0 are dropped, and one hidden-angle
+pass theta and one tanh(theta) pass per row feed both the flipped-site
+local-energy kernel and the derivative columns.  In both sampled modes
+means, standard errors and preparation counts stay per sample, with local
+energies gathered back through the map from samples to rows.
 
 Each real slot's log-derivative is one of the N + M + N*M distinct complex
 columns x = (z_i, tanh theta_j, z_i tanh theta_j) or i times one.  A and C
@@ -50,7 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .circuit import measure_visible, sample_protocol_batch
+from .circuit import measure_indices, sample_protocol_batch
 from .errors import DegenerateWeightError, NumericalIntegrityError
 from .hamiltonians import PauliHamiltonian, apply_h, connected_states, connected_structure
 from .rbm import (
@@ -63,7 +68,7 @@ from .rbm import (
     spin_rows,
     statevector_from_angles,
 )
-from .spins import as_spins, spins_to_string, string_to_spins
+from .spins import as_spins, spins_to_index, spins_to_string, string_to_spins
 from .statevector import STATEVECTOR_CAP, StateVector, check_cap
 
 # Sign relating the raw covariance Re(<O_m^dag H> - <O_m^dag><H>) to the
@@ -171,15 +176,15 @@ def expectation_exact(
 # sample generation: one serial stream, one state preparation per sample
 
 
-def _draw_samples(params, n_samples, rng, mode):
-    """(outcomes or None, spins, weights) of ``n_samples`` samples drawn
-    from ``rng``: Born-rule spins from the exact statevector for vmc, or
-    reweighted protocol runs for the ensemble mode."""
+def _draw_samples(params, n_samples, rng, mode, point=None):
+    """(outcomes or None, samples, weights) of ``n_samples`` samples drawn
+    from ``rng``: for vmc the basis indices of Born-rule draws from the
+    dense pass ``point`` at ``params``, for the ensemble mode the spins of
+    reweighted protocol runs."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if mode == "vmc":
-        zmat = measure_visible(exact_statevector(params), n_samples, rng)
-        return None, zmat, np.ones(n_samples)
+        return None, measure_indices(point.psi, n_samples, rng), np.ones(n_samples)
     if mode == "ensemble":
         if not params.unitary_coupled:
             raise ValueError("the ensemble mode requires unitary couplings")
@@ -229,7 +234,9 @@ def _local_energies(params, h, rows, theta, t) -> np.ndarray:
 
 
 def _evaluate(params, h, zmat, wn):
-    """Evaluate each distinct sampled configuration with positive weight once.
+    """Evaluate each distinct configuration of a spin batch (the ensemble
+    mode's protocol runs) with positive weight once, with no statevector:
+    one theta pass on those rows feeds the flipped-site local-energy kernel.
 
     Returns those rows (float), their summed normalized weights, tanh of
     their hidden angles, their local energies, and the local energy of every
@@ -246,6 +253,26 @@ def _evaluate(params, h, zmat, wn):
     eloc = np.zeros(keep.shape[0], dtype=np.complex128)
     eloc[keep] = eloc_rows
     return rows, row_w[keep], t, eloc_rows, eloc[inverse]
+
+
+def _evaluate_dense(point, index, wn):
+    """``_evaluate`` for samples drawn as basis indices of the dense pass
+    ``point`` (vmc): a row is a basis index with positive summed weight, its
+    local energy is (H psi)(z)/psi(z) and tanh theta is gathered from the
+    pass's theta.  A row of zero amplitude, which only a replayed log can
+    hold, has no local energy and is refused."""
+    row_w = np.bincount(index, weights=wn, minlength=point.zmat.shape[0])
+    rows = np.flatnonzero(row_w > 0.0)
+    psi = point.psi.amplitudes[rows]
+    vanished = np.flatnonzero(psi == 0.0)
+    if vanished.size:
+        z = spins_to_string(point.zmat[rows[vanished[0]]])
+        raise NumericalIntegrityError(
+            f"sampled configuration {z} has positive weight but zero amplitude"
+        )
+    eloc = np.zeros(row_w.shape[0], dtype=np.complex128)
+    eloc[rows] = point.hpsi[rows] / psi
+    return point.zmat[rows], row_w[rows], np.tanh(point.theta[rows]), eloc[rows], eloc[index]
 
 
 def _energy_estimate(eloc_real, weights, weight_sum, mode, n_samples) -> Estimate:
@@ -266,10 +293,21 @@ def _check_weights(weights) -> float:
     return weight_sum
 
 
-def _sampled_energy(params, h, zmat, weights, mode, n_samples) -> Estimate:
+def _evaluate_samples(params, h, samples, weights, point):
+    """The weight sum and the evaluation of a sample batch: basis indices
+    drawn from the dense pass ``point`` (vmc), or protocol-run spins when
+    ``point`` is None (ensemble)."""
     weight_sum = _check_weights(weights)
-    eloc = _evaluate(params, h, zmat, weights / weight_sum)[-1]
-    return _energy_estimate(eloc.real, weights, weight_sum, mode, n_samples)
+    wn = weights / weight_sum
+    if point is None:
+        return weight_sum, _evaluate(params, h, samples, wn)
+    return weight_sum, _evaluate_dense(point, samples, wn)
+
+
+def _sampled_energy(params, h, samples, weights, point) -> Estimate:
+    weight_sum, evaluation = _evaluate_samples(params, h, samples, weights, point)
+    mode = "ensemble" if point is None else "vmc"
+    return _energy_estimate(evaluation[-1].real, weights, weight_sum, mode, samples.shape[0])
 
 
 def expectation_vmc(
@@ -279,8 +317,9 @@ def expectation_vmc(
     rng: np.random.Generator,
 ) -> Estimate:
     """Mean local observable over z ~ |<z|Psi>|^2 with its standard error."""
-    _, zmat, weights = _draw_samples(params, n_samples, rng, "vmc")
-    return _sampled_energy(params, h, zmat, weights, "vmc", n_samples)
+    point = exact_point(params, h)
+    _, index, weights = _draw_samples(params, n_samples, rng, "vmc", point)
+    return _sampled_energy(params, h, index, weights, point)
 
 
 def expectation_ensemble(
@@ -292,7 +331,7 @@ def expectation_ensemble(
     """Self-normalized estimator over protocol runs: the weighted mean of
     local observables with weights prod_j R^2_{s_j}, ratio standard error."""
     _, zmat, weights = _draw_samples(params, n_samples, rng, "ensemble")
-    return _sampled_energy(params, h, zmat, weights, "ensemble", n_samples)
+    return _sampled_energy(params, h, zmat, weights, None)
 
 
 # ---------------------------------------------------------------------------
@@ -369,26 +408,29 @@ def _slot_system(params, s, f, energy, n_preparations) -> SrSystem:
     return SrSystem(a=a, c=c, energy=energy, n_preparations=n_preparations)
 
 
-def _assemble_system(params, h, zmat, weights, mode, n_samples):
-    weight_sum = _check_weights(weights)
-    rows, row_w, t, eloc_rows, eloc = _evaluate(params, h, zmat, weights / weight_sum)
+def _assemble_system(params, h, samples, weights, point):
+    weight_sum, evaluation = _evaluate_samples(params, h, samples, weights, point)
+    rows, row_w, t, eloc_rows, eloc = evaluation
     # The (U, D) column arrays are freed before A is built: held here, they
     # raised the ensemble workload's peak RSS by about 5 MB.
     s, f = _sampled_moments(log_derivative_columns(rows, t), row_w, eloc_rows)
+    n_samples = samples.shape[0]
+    mode = "ensemble" if point is None else "vmc"
     energy = _energy_estimate(eloc.real, weights, weight_sum, mode, n_samples)
     return _slot_system(params, s, f, energy, n_samples)
 
 
 @dataclass(frozen=True)
 class ExactPoint:
-    """The dense pass of ``compute_a_c_exact`` at ``params``: the float rows
-    of ``all_spin_configs``, their hidden angles theta, the normalized psi,
-    e = conj(psi) H psi and the energy E = sum e."""
+    """The dense pass of ``compute_a_c_exact`` and of vmc at ``params``: the
+    float rows of ``all_spin_configs``, their hidden angles theta, the
+    normalized psi, H psi, e = conj(psi) H psi and the energy E = sum e."""
 
     params: RbmParams
     zmat: np.ndarray
     theta: np.ndarray
     psi: StateVector
+    hpsi: np.ndarray
     e: np.ndarray
     energy: complex
 
@@ -401,8 +443,9 @@ def exact_point(params: RbmParams, h: PauliHamiltonian) -> ExactPoint:
     zmat = spin_rows(n)
     theta = hidden_angles(params, zmat)
     psi = statevector_from_angles(params, zmat, theta)
-    e = psi.amplitudes.conj() * apply_h(h, psi)
-    return ExactPoint(params, zmat, theta, psi, e, complex(e.sum()))
+    hpsi = apply_h(h, psi)
+    e = psi.amplitudes.conj() * hpsi
+    return ExactPoint(params, zmat, theta, psi, hpsi, e, complex(e.sum()))
 
 
 def compute_a_c_exact(
@@ -438,14 +481,17 @@ def compute_a_c_sampled(
     The distinct derivative columns and the local energy are evaluated once
     per distinct sampled configuration, and every A entry, every C entry, and
     the energy are derived from them - exactly one state preparation per
-    sample, reported in ``n_preparations``.  A and C come from the complex
+    sample, reported in ``n_preparations``.  vmc reads them from the dense
+    pass it draws from (``exact_point``).  A and C come from the complex
     covariance of those columns (see the module docstring).  When
     ``sample_log`` is given, the records are written there for replay.
     """
-    smat, zmat, weights = _draw_samples(params, n_samples, rng, mode)
+    point = exact_point(params, h) if mode == "vmc" else None
+    smat, samples, weights = _draw_samples(params, n_samples, rng, mode, point)
     if sample_log is not None:
+        zmat = samples if point is None else point.zmat[samples]
         write_sample_log(sample_log, smat, zmat, weights)
-    return _assemble_system(params, h, zmat, weights, mode, n_samples)
+    return _assemble_system(params, h, samples, weights, point)
 
 
 def compute_a_c_from_log(params: RbmParams, h: PauliHamiltonian, path) -> SrSystem:
@@ -454,10 +500,12 @@ def compute_a_c_from_log(params: RbmParams, h: PauliHamiltonian, path) -> SrSyst
     for size, mat, want in (("N", zmat, params.n_visible), ("M", smat, params.n_hidden)):
         if mat is not None and mat.shape[1] != want:
             raise ValueError(f"sample log has {size} = {mat.shape[1]}, the parameters {want}")
-    mode = "vmc" if smat is None else "ensemble"
-    if mode == "ensemble" and not params.unitary_coupled:
+    if smat is None:  # vmc: the spins are rows of the dense pass
+        point = exact_point(params, h)
+        return _assemble_system(params, h, spins_to_index(zmat), weights, point)
+    if not params.unitary_coupled:
         raise ValueError("the ensemble mode requires unitary couplings")
-    return _assemble_system(params, h, zmat, weights, mode, zmat.shape[0])
+    return _assemble_system(params, h, zmat, weights, None)
 
 
 # ---------------------------------------------------------------------------

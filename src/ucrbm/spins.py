@@ -22,10 +22,11 @@ def as_spins(z) -> np.ndarray:
     return out
 
 
-def spins_to_index(z: np.ndarray) -> int:
+def spins_to_index(z: np.ndarray) -> int | np.ndarray:
+    """Basis index of a spin vector; for a (K, N) batch, the indices of its rows."""
     bits = (1 - np.asarray(z, dtype=np.int64)) // 2
-    n = bits.shape[0]
-    return int(bits @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64)))
+    index = bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1, dtype=np.int64))
+    return int(index) if bits.ndim == 1 else index
 
 
 def index_to_spins(index: int, n: int) -> np.ndarray:
