@@ -5,11 +5,12 @@ Kernel inputs are plain arrays; the wrapping modules own validation.
 Both kernels take the hidden angles theta = m + zW of their rows from the
 caller, so one theta pass serves a batch; ``local_energy_batch`` also takes
 tanh(theta), which the caller computes once and feeds to the log-derivative
-columns too.  ``logpsi_batch`` gives the log-amplitudes (exact mode
-builds its statevector from them).  ``local_energy_batch`` serves the
-sampled modes: it forms each amplitude ratio psi(z')/psi(z) from the flipped
-sites alone (the cached-angle update of Carleo & Troyer, Science 355, 602
-(2017)); exact mode gathers H psi from the full statevector instead.
+columns too.  ``logpsi_batch`` gives the log-amplitudes (exact mode and
+vmc build their statevector from them).  ``local_energy_batch`` serves the
+ensemble mode, which has no statevector: it forms each amplitude ratio
+psi(z')/psi(z) from the flipped sites alone (the cached-angle update of
+Carleo & Troyer, Science 355, 602 (2017)); exact mode and vmc gather H psi
+from the full statevector instead.
 Under the unitary-coupled restriction the coupling sums over the flipped
 sites are imaginary, so each hidden factor of the ratio needs only cos/sin
 and cannot overflow.  Flipping site i shifts hidden phase j by 2 Im w_ij z_i,

@@ -270,9 +270,10 @@ def _evaluate_dense(point, index, wn):
         raise NumericalIntegrityError(
             f"sampled configuration {z} has positive weight but zero amplitude"
         )
+    eloc_rows = point.hpsi[rows] / psi
     eloc = np.zeros(row_w.shape[0], dtype=np.complex128)
-    eloc[rows] = point.hpsi[rows] / psi
-    return point.zmat[rows], row_w[rows], np.tanh(point.theta[rows]), eloc[rows], eloc[index]
+    eloc[rows] = eloc_rows
+    return point.zmat[rows], row_w[rows], np.tanh(point.theta[rows]), eloc_rows, eloc[index]
 
 
 def _energy_estimate(eloc_real, weights, weight_sum, mode, n_samples) -> Estimate:
@@ -294,20 +295,18 @@ def _check_weights(weights) -> float:
 
 
 def _evaluate_samples(params, h, samples, weights, point):
-    """The weight sum and the evaluation of a sample batch: basis indices
-    drawn from the dense pass ``point`` (vmc), or protocol-run spins when
+    """The rows, row weights, tanh theta and row local energies of a sample
+    batch, and its energy estimate.  The samples are basis indices drawn
+    from the dense pass ``point`` (vmc), or protocol-run spins when
     ``point`` is None (ensemble)."""
     weight_sum = _check_weights(weights)
     wn = weights / weight_sum
     if point is None:
-        return weight_sum, _evaluate(params, h, samples, wn)
-    return weight_sum, _evaluate_dense(point, samples, wn)
-
-
-def _sampled_energy(params, h, samples, weights, point) -> Estimate:
-    weight_sum, evaluation = _evaluate_samples(params, h, samples, weights, point)
-    mode = "ensemble" if point is None else "vmc"
-    return _energy_estimate(evaluation[-1].real, weights, weight_sum, mode, samples.shape[0])
+        mode, evaluation = "ensemble", _evaluate(params, h, samples, wn)
+    else:
+        mode, evaluation = "vmc", _evaluate_dense(point, samples, wn)
+    *rows, eloc = evaluation
+    return rows, _energy_estimate(eloc.real, weights, weight_sum, mode, samples.shape[0])
 
 
 def expectation_vmc(
@@ -319,7 +318,7 @@ def expectation_vmc(
     """Mean local observable over z ~ |<z|Psi>|^2 with its standard error."""
     point = exact_point(params, h)
     _, index, weights = _draw_samples(params, n_samples, rng, "vmc", point)
-    return _sampled_energy(params, h, index, weights, point)
+    return _evaluate_samples(params, h, index, weights, point)[1]
 
 
 def expectation_ensemble(
@@ -331,7 +330,7 @@ def expectation_ensemble(
     """Self-normalized estimator over protocol runs: the weighted mean of
     local observables with weights prod_j R^2_{s_j}, ratio standard error."""
     _, zmat, weights = _draw_samples(params, n_samples, rng, "ensemble")
-    return _sampled_energy(params, h, zmat, weights, None)
+    return _evaluate_samples(params, h, zmat, weights, None)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -409,15 +408,11 @@ def _slot_system(params, s, f, energy, n_preparations) -> SrSystem:
 
 
 def _assemble_system(params, h, samples, weights, point):
-    weight_sum, evaluation = _evaluate_samples(params, h, samples, weights, point)
-    rows, row_w, t, eloc_rows, eloc = evaluation
+    (rows, row_w, t, eloc_rows), energy = _evaluate_samples(params, h, samples, weights, point)
     # The (U, D) column arrays are freed before A is built: held here, they
     # raised the ensemble workload's peak RSS by about 5 MB.
     s, f = _sampled_moments(log_derivative_columns(rows, t), row_w, eloc_rows)
-    n_samples = samples.shape[0]
-    mode = "ensemble" if point is None else "vmc"
-    energy = _energy_estimate(eloc.real, weights, weight_sum, mode, n_samples)
-    return _slot_system(params, s, f, energy, n_samples)
+    return _slot_system(params, s, f, energy, samples.shape[0])
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import dense_from_terms, random_pauli_hamiltonian
 
-from ucrbm.circuit import enumerate_branches
+from ucrbm.circuit import enumerate_branches, measure_visible
 from ucrbm.errors import DegenerateWeightError, NumericalIntegrityError, SizeCapError
 from ucrbm.estimators import (
     C_SIGN,
@@ -381,6 +381,53 @@ class TestComputeAcSampled:
         assert replayed.energy.std_error == pytest.approx(
             original.energy.std_error, rel=1e-12
         )
+
+
+class TestVmcDensePass:
+    # vmc draws basis indices from exact_point's |psi|^2 and reads every row
+    # from that pass.
+
+    @pytest.mark.parametrize("n, seed", [(3, 0), (6, 1), (10, 2)])
+    def test_draws_are_measure_visible_row_for_row(self, tmp_path, n, seed):
+        h = build_tfi(n, 0.5)
+        p = random_init(n, n, 0.3, seed, True)
+        log = tmp_path / "vmc.log"
+        compute_a_c_sampled(p, h, 500, np.random.default_rng(seed), mode="vmc", sample_log=log)
+        _, zmat, _ = read_sample_log(log)
+        want = measure_visible(exact_statevector(p), 500, np.random.default_rng(seed))
+        assert np.array_equal(zmat, want)
+
+    @pytest.mark.parametrize("unitary", [True, False])
+    def test_expectation_vmc_is_the_system_energy(self, unitary):
+        h = build_afh(4)
+        p = random_init(4, 3, 0.4, 5, unitary)
+        est = expectation_vmc(p, h, 700, np.random.default_rng(11))
+        system = compute_a_c_sampled(p, h, 700, np.random.default_rng(11), mode="vmc")
+        assert est == system.energy
+
+    @staticmethod
+    def vanishing_params():
+        # psi(z) = 0 in float64 wherever z_0 = -1: exp(-800) underflows
+        return RbmParams(
+            b=np.array([400.0, 0.0], complex), m=np.zeros(1, complex),
+            w=np.zeros((2, 1), complex), unitary_coupled=True,
+        )
+
+    def test_replayed_row_of_zero_amplitude_is_refused(self, tmp_path):
+        log = tmp_path / "vmc.log"
+        log.write_text(". -+ 1.0\n")
+        with pytest.raises(NumericalIntegrityError, match=r"configuration -\+ "):
+            compute_a_c_from_log(self.vanishing_params(), build_tfi(2, 0.5), log)
+
+    def test_replayed_row_of_zero_amplitude_and_weight_is_ignored(self, tmp_path):
+        h, p = build_tfi(2, 0.5), self.vanishing_params()
+        padded, plain = tmp_path / "padded.log", tmp_path / "plain.log"
+        padded.write_text(". ++ 1.0\n. -+ 0.0\n")
+        plain.write_text(". ++ 1.0\n")
+        got, want = compute_a_c_from_log(p, h, padded), compute_a_c_from_log(p, h, plain)
+        assert np.isfinite(got.energy.mean)
+        assert got.energy.mean == want.energy.mean
+        assert np.array_equal(got.a, want.a) and np.array_equal(got.c, want.c)
 
 
 def void_key_rows(zmat, wn):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ucrbm import _kernels
-from ucrbm.estimators import _local_energies, local_observable
+from ucrbm.estimators import _evaluate_dense, _local_energies, exact_point, local_observable
 from ucrbm.hamiltonians import (
     PauliHamiltonian,
     TqdParams,
@@ -171,6 +171,36 @@ def assert_moderate_rows_match_oracle(params, h, zmat):
         ref = np.array([local_observable(params, z, h) for z in zmat])
     assert np.all(np.isfinite(got)) and np.all(np.isfinite(ref))
     assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref))
+
+
+DENSE_MODELS = {
+    "tfi10": lambda: build_tfi(10, 0.5),
+    "afh8": lambda: build_afh(8),
+    "tqd6": lambda: build_tqd(TqdParams(b_field=0.5)),
+    "pauli-file": lambda: load_bundled("lih_four_qubit.txt"),
+}
+
+
+class TestDenseLocalEnergy:
+    # vmc reads each row's local energy from its dense pass as
+    # (H psi)(z)/psi(z); the flipped-site kernel, kept for the ensemble
+    # mode, is the oracle.  Every basis row is drawn once, with unit weight.
+    @pytest.mark.parametrize("scale", [0.1, 0.7, 1.5])
+    @pytest.mark.parametrize("unitary", [True, False])
+    @pytest.mark.parametrize("model", sorted(DENSE_MODELS))
+    def test_matches_the_flipped_site_kernel(self, model, unitary, scale):
+        h = DENSE_MODELS[model]()
+        n = h.n_qubits
+        for seed in range(2):
+            params = random_init(n, n, scale, seed, unitary)
+            index = np.arange(1 << n)
+            rows, _, _, got, _ = _evaluate_dense(
+                exact_point(params, h), index, np.ones(index.shape[0])
+            )
+            theta = hidden_angles(params, rows)
+            want = _local_energies(params, h, rows, theta, np.tanh(theta))
+            assert rows.shape[0] == index.shape[0]
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
 class TestBackendSelection:
