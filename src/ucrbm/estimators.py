@@ -305,8 +305,8 @@ def _evaluate_samples(params, h, samples, weights, point):
         mode, evaluation = "ensemble", _evaluate(params, h, samples, wn)
     else:
         mode, evaluation = "vmc", _evaluate_dense(point, samples, wn)
-    *rows, eloc = evaluation
-    return rows, _energy_estimate(eloc.real, weights, weight_sum, mode, samples.shape[0])
+    *per_row, eloc = evaluation
+    return per_row, _energy_estimate(eloc.real, weights, weight_sum, mode, samples.shape[0])
 
 
 def expectation_vmc(
