@@ -27,9 +27,10 @@ pass.
 The ensemble mode has no statevector and no 2^N cap, so it goes through
 ``_evaluate``, which works once per distinct configuration with positive
 weight: rows are keyed by their packed bits, read as integer words, and
-their weights summed, rows of weight 0 are dropped, and one hidden-angle
-pass theta and one tanh(theta) pass per row feed both the flipped-site
-local-energy kernel and the derivative columns.  In both sampled modes
+their weights summed, rows of weight 0 are dropped, and one tanh(theta)
+pass per row feeds both the flipped-site local-energy kernel and the
+derivative columns.  The kernel has only the unitary-coupled lane, so
+``_evaluate`` refuses unrestricted parameters.  In both sampled modes
 means, standard errors and preparation counts stay per sample, with local
 energies gathered back through the map from samples to rows.
 
@@ -186,8 +187,6 @@ def _draw_samples(params, n_samples, rng, mode, point=None):
     if mode == "vmc":
         return None, measure_indices(point.psi, n_samples, rng), np.ones(n_samples)
     if mode == "ensemble":
-        if not params.unitary_coupled:
-            raise ValueError("the ensemble mode requires unitary couplings")
         return sample_protocol_batch(params, n_samples, rng)
     raise ValueError(f"unknown sampling mode {mode!r}")
 
@@ -216,40 +215,35 @@ def _distinct_rows(zmat, wn):
     return zmat[order[starts]], np.bincount(inverse, weights=wn), inverse
 
 
-def _local_energies(params, h, rows, theta, t) -> np.ndarray:
-    """Local energies of float spin rows with hidden angles ``theta`` and
-    t = tanh(theta)."""
+def _local_energies(params, h, rows, t) -> np.ndarray:
+    """Local energies of float spin rows with t = tanh of their hidden
+    angles, for unitary-coupled ``params``."""
     struct = connected_structure(h)
     return _kernels.local_energy_batch(
-        rows,
-        theta,
-        params.b,
-        params.w,
-        struct.flips,
-        struct.elements(rows),
-        params.unitary_coupled,
-        t,
-        struct.flip_sites,
+        rows, t, params.b, params.w, struct.flips, struct.elements(rows), struct.flip_sites
     )
 
 
 def _evaluate(params, h, zmat, wn):
     """Evaluate each distinct configuration of a spin batch (the ensemble
     mode's protocol runs) with positive weight once, with no statevector:
-    one theta pass on those rows feeds the flipped-site local-energy kernel.
+    one tanh theta pass on those rows feeds the flipped-site local-energy
+    kernel.  Unrestricted ``params`` are refused before any row work: the
+    kernel reads no Re w.
 
     Returns those rows (float), their summed normalized weights, tanh of
     their hidden angles, their local energies, and the local energy of every
     sample (0 for a sample of weight 0).
     """
+    if not params.unitary_coupled:
+        raise ValueError("the ensemble mode requires unitary couplings")
     rows, row_w, inverse = _distinct_rows(zmat, wn)
     # Rows of weight 0 carry nothing and are dropped; a row of vanishing
     # amplitude could overflow its ratios (0 * inf).
     keep = row_w > 0.0
     rows = np.ascontiguousarray(rows[keep], dtype=np.float64)
-    theta = hidden_angles(params, rows)
-    t = np.tanh(theta)
-    eloc_rows = _local_energies(params, h, rows, theta, t)
+    t = np.tanh(hidden_angles(params, rows))
+    eloc_rows = _local_energies(params, h, rows, t)
     eloc = np.zeros(keep.shape[0], dtype=np.complex128)
     eloc[keep] = eloc_rows
     return rows, row_w[keep], t, eloc_rows, eloc[inverse]
@@ -498,8 +492,6 @@ def compute_a_c_from_log(params: RbmParams, h: PauliHamiltonian, path) -> SrSyst
     if smat is None:  # vmc: the spins are rows of the dense pass
         point = exact_point(params, h)
         return _assemble_system(params, h, spins_to_index(zmat), weights, point)
-    if not params.unitary_coupled:
-        raise ValueError("the ensemble mode requires unitary couplings")
     return _assemble_system(params, h, zmat, weights, None)
 
 

@@ -1,4 +1,4 @@
-"""Architecture-mapping identities, verified densetly on small spin spaces.
+"""Architecture-mapping identities, verified densely on small spin spaces.
 
 Each decoupling replaces a non-unitary or multi-spin coupling by hidden-unit
 contractions with purely imaginary couplings.  Printed prefactors are never

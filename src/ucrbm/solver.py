@@ -82,6 +82,8 @@ class IteConfig:
             raise ValueError("regularization must be non-negative")
         if self.n_steps < 1:
             raise ValueError("need at least one step")
+        if self.convergence_window < 1:
+            raise ValueError("convergence_window must be at least 1")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.n_threads != 1:

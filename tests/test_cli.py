@@ -69,6 +69,15 @@ class TestComputeErrors:
     def test_missing_file_is_compute_error(self):
         assert run_cli(["exact", "--pauli-file", "/nonexistent/file.txt"]) == 2
 
+    def test_zero_convergence_window_is_refused_before_any_work(self, tmp_path):
+        trace = tmp_path / "t.csv"
+        code = run_cli(
+            ["ite", "--model", "tfi", "--n", "3", "--steps", "50", "--conv-window", "0",
+             "--trace-out", str(trace), "--params-out", str(tmp_path / "p.txt")]
+        )
+        assert code == 2
+        assert not trace.exists()
+
 
 class TestIte:
     def test_afh_run_writes_outputs(self, tmp_path, capsys):

@@ -10,6 +10,7 @@ from ucrbm.estimators import (
     Estimate,
     SrSystem,
     _distinct_rows,
+    _evaluate,
     compute_a_c_exact,
     compute_a_c_from_log,
     compute_a_c_sampled,
@@ -194,6 +195,15 @@ class TestExpectationEnsemble:
         p = random_init(2, 2, 0.3, 0, False)
         with pytest.raises(ValueError):
             expectation_ensemble(p, build_tfi(2, 1.0), 10, np.random.default_rng(0))
+
+    def test_row_evaluation_refuses_unrestricted_couplings(self):
+        # the flipped-site kernel reads no Re w: unrestricted parameters
+        # would get wrong local energies, so _evaluate refuses them
+        p = random_init(2, 2, 0.3, 0, False)
+        zmat = all_spin_configs(2)
+        wn = np.full(zmat.shape[0], 1.0 / zmat.shape[0])
+        with pytest.raises(ValueError, match="the ensemble mode requires unitary"):
+            _evaluate(p, build_tfi(2, 1.0), zmat, wn)
 
     def test_runs_past_the_statevector_cap(self):
         # the factorized sampler holds no statevector: N = 16 runs although

@@ -1,3 +1,4 @@
+import inspect
 import warnings
 
 import numpy as np
@@ -45,31 +46,27 @@ def assert_matches_oracle(params, h):
     per-configuration log-amplitude oracle, to 1e-10 relative per row."""
     zmat = all_spin_configs(h.n_qubits)
     rows = zmat.astype(np.float64)
-    theta = hidden_angles(params, rows)
-    got = _local_energies(params, h, rows, theta, np.tanh(theta))
+    got = _local_energies(params, h, rows, np.tanh(hidden_angles(params, rows)))
     ref = np.array([local_observable(params, z, h) for z in zmat])
     assert np.all(np.isfinite(ref))
     assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref))
 
 
 class TestLocalEnergyBatch:
-    @pytest.mark.parametrize("unitary", [True, False])
+    # Unitary couplings only: the kernel has no unrestricted lane.
+    @pytest.mark.parametrize("unitary", [True])
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_matches_local_observable(self, model, unitary):
         h = MODELS[model]()
         for seed in range(2):
             assert_matches_oracle(random_init(h.n_qubits, 3, 1.5, seed, unitary), h)
 
-    @pytest.mark.parametrize("re_w", [5.0, 20.0, 100.0])
-    @pytest.mark.parametrize("model", ["tfi", "afh", "pauli-file"])
-    def test_large_real_couplings(self, model, re_w):
-        # Each ratio factor cosh(theta - 2d)/cosh(theta) is small where both
-        # cosh 2d and tanh(theta) sinh 2d are of order e^{2|Re d|}: the
-        # difference of those two loses every digit once Re w is large.
-        h = MODELS[model]()
-        p = random_init(h.n_qubits, 3, 0.3, 4, False)
-        w = p.w + re_w * np.sign(p.w.real)
-        assert_matches_oracle(RbmParams(p.b, p.m, w, unitary_coupled=False), h)
+    def test_perfbench_reads_rows_and_flips_by_position(self):
+        # perfbench/tracer.py::_evals counts kernels.local_energy_evals as
+        # rows x flip groups from positional arguments 0 and 4 of the kernel;
+        # a signature change that moves them would corrupt that count.
+        names = list(inspect.signature(_kernels.local_energy_batch).parameters)
+        assert (names[0], names[4]) == ("zmat", "flips")
 
     def test_no_hidden_units(self):
         h = build_afh(3)
@@ -99,8 +96,8 @@ def kernel_ratios(params, h, rows, theta):
         onehot = np.zeros_like(out)
         onehot[:, g] = 1.0
         out[:, g] = _kernels.local_energy_batch(
-            rows, theta, params.b, params.w, struct.flips, onehot, True,
-            np.tanh(theta), struct.flip_sites,
+            rows, np.tanh(theta), params.b, params.w, struct.flips, onehot,
+            struct.flip_sites,
         )
     return out
 
@@ -132,7 +129,7 @@ class TestUnitaryRatio:
             assert np.all(got[:, single] == want[:, single])
             multi = ~single
             assert np.all(np.abs(got - want)[:, multi] <= 1e-13 * np.abs(want[:, multi]))
-            energies = _local_energies(params, h, rows, theta, np.tanh(theta))
+            energies = _local_energies(params, h, rows, np.tanh(theta))
             want_energies = (connected_structure(h).elements(rows) * want).sum(axis=1)
             if single.all():
                 assert energies.tobytes() == want_energies.tobytes()
@@ -166,8 +163,7 @@ def assert_moderate_rows_match_oracle(params, h, zmat):
     rows = zmat.astype(np.float64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        theta = hidden_angles(params, rows)
-        got = _local_energies(params, h, rows, theta, np.tanh(theta))
+        got = _local_energies(params, h, rows, np.tanh(hidden_angles(params, rows)))
         ref = np.array([local_observable(params, z, h) for z in zmat])
     assert np.all(np.isfinite(got)) and np.all(np.isfinite(ref))
     assert np.all(np.abs(got - ref) <= 1e-10 * np.abs(ref))
@@ -183,8 +179,10 @@ DENSE_MODELS = {
 
 class TestDenseLocalEnergy:
     # vmc reads each row's local energy from its dense pass as
-    # (H psi)(z)/psi(z); the flipped-site kernel, kept for the ensemble
-    # mode, is the oracle.  Every basis row is drawn once, with unit weight.
+    # (H psi)(z)/psi(z).  The oracle is the flipped-site kernel of the
+    # ensemble mode for unitary couplings; the kernel reads no Re w, so
+    # unrestricted parameters take the log-amplitude oracle
+    # ``local_observable``.  Every basis row is drawn once, with unit weight.
     @pytest.mark.parametrize("scale", [0.1, 0.7, 1.5])
     @pytest.mark.parametrize("unitary", [True, False])
     @pytest.mark.parametrize("model", sorted(DENSE_MODELS))
@@ -197,8 +195,10 @@ class TestDenseLocalEnergy:
             rows, _, _, got, _ = _evaluate_dense(
                 exact_point(params, h), index, np.ones(index.shape[0])
             )
-            theta = hidden_angles(params, rows)
-            want = _local_energies(params, h, rows, theta, np.tanh(theta))
+            if unitary:
+                want = _local_energies(params, h, rows, np.tanh(hidden_angles(params, rows)))
+            else:
+                want = np.array([local_observable(params, z, h) for z in rows])
             assert rows.shape[0] == index.shape[0]
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 

@@ -269,6 +269,12 @@ class TestIteRun:
             IteConfig(regularization=-1e-3)
         with pytest.raises(ValueError):
             IteConfig(mode="metropolis")
+        # a window of 0 read the whole record (energy[-0:]), whose spread is 0
+        # after one step, and stopped there; -1 failed inside ite_run on max()
+        # of an empty sequence
+        for window in (0, -1):
+            with pytest.raises(ValueError, match="convergence_window"):
+                IteConfig(convergence_window=window)
 
     def test_thread_count_is_pinned(self):
         # sampling is serial; the field only accepts the value 1
