@@ -20,8 +20,12 @@ class NumericalIntegrityError(UcrbmError, RuntimeError):
 
 
 class DegenerateWeightError(UcrbmError, RuntimeError):
-    """Every sample in an ensemble batch carried zero weight; the
-    self-normalized estimator is undefined.  Retry with more samples."""
+    """The weights of a sampled batch cannot carry a self-normalized
+    estimate: every sample carried zero weight, or their Kish effective
+    sample size (sum w)^2 / sum w^2 is below ``MIN_ESS_FRACTION`` of the
+    sample count, so a few runs dominate and the standard error is too
+    small to trust.  More samples can mend the first case; the fraction in
+    the second tends to a property of the state as the sample count grows."""
 
 
 class PauliFileError(UcrbmError, ValueError):

@@ -7,7 +7,9 @@ Three estimation modes:
 * ``vmc``      - i.i.d. computational-basis samples drawn from the exact
   statevector (a desk-scale stand-in for projective measurements);
 * ``ensemble`` - protocol runs accepted for every hidden outcome and
-  reweighted by prod_j R^2_{s_j}; estimators are self-normalized ratios.
+  reweighted by prod_j R^2_{s_j}; estimators are self-normalized ratios,
+  refused when the weights' effective sample size is below
+  ``MIN_ESS_FRACTION`` of the batch.
 
 The sampled modes share one accumulation path: all A entries, the C vector
 and the energy come from one sample stream, one state preparation per sample,
@@ -50,7 +52,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -69,7 +70,7 @@ from .rbm import (
     spin_rows,
     statevector_from_angles,
 )
-from .spins import as_spins, spins_to_index, spins_to_string, string_to_spins
+from .spins import as_spins
 from .statevector import STATEVECTOR_CAP, StateVector, check_cap
 
 # Sign relating the raw covariance Re(<O_m^dag H> - <O_m^dag><H>) to the
@@ -78,6 +79,12 @@ from .statevector import STATEVECTOR_CAP, StateVector, check_cap
 C_SIGN = -1.0
 
 MODES = ("exact", "vmc", "ensemble")
+
+# Smallest Kish effective sample size (sum w)^2 / sum w^2, as a fraction of
+# the sample count, that a weighted batch may have: 64 of the default 4096.
+# Below it a few runs carry the estimate and its standard error is too small
+# to trust.  vmc weights are all 1, so its fraction is 1.
+MIN_ESS_FRACTION = 1 / 64
 
 
 @dataclass(frozen=True)
@@ -178,16 +185,17 @@ def expectation_exact(
 
 
 def _draw_samples(params, n_samples, rng, mode, point=None):
-    """(outcomes or None, samples, weights) of ``n_samples`` samples drawn
-    from ``rng``: for vmc the basis indices of Born-rule draws from the
-    dense pass ``point`` at ``params``, for the ensemble mode the spins of
-    reweighted protocol runs."""
+    """(samples, weights) of ``n_samples`` samples drawn from ``rng``: for
+    vmc the basis indices of Born-rule draws from the dense pass ``point``
+    at ``params``, for the ensemble mode the spins of reweighted protocol
+    runs."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if mode == "vmc":
-        return None, measure_indices(point.psi, n_samples, rng), np.ones(n_samples)
+        return measure_indices(point.psi, n_samples, rng), np.ones(n_samples)
     if mode == "ensemble":
-        return sample_protocol_batch(params, n_samples, rng)
+        _, zmat, weights = sample_protocol_batch(params, n_samples, rng)
+        return zmat, weights
     raise ValueError(f"unknown sampling mode {mode!r}")
 
 
@@ -253,18 +261,11 @@ def _evaluate_dense(point, index, wn):
     """``_evaluate`` for samples drawn as basis indices of the dense pass
     ``point`` (vmc): a row is a basis index with positive summed weight, its
     local energy is (H psi)(z)/psi(z) and tanh theta is gathered from the
-    pass's theta.  A row of zero amplitude, which only a replayed log can
-    hold, has no local energy and is refused."""
+    pass's theta.  The indices are Born-rule draws, so no row has zero
+    amplitude."""
     row_w = np.bincount(index, weights=wn, minlength=point.zmat.shape[0])
     rows = np.flatnonzero(row_w > 0.0)
-    psi = point.psi.amplitudes[rows]
-    vanished = np.flatnonzero(psi == 0.0)
-    if vanished.size:
-        z = spins_to_string(point.zmat[rows[vanished[0]]])
-        raise NumericalIntegrityError(
-            f"sampled configuration {z} has positive weight but zero amplitude"
-        )
-    eloc_rows = point.hpsi[rows] / psi
+    eloc_rows = point.hpsi[rows] / point.psi.amplitudes[rows]
     eloc = np.zeros(row_w.shape[0], dtype=np.complex128)
     eloc[rows] = eloc_rows
     return point.zmat[rows], row_w[rows], np.tanh(point.theta[rows]), eloc_rows, eloc[index]
@@ -284,6 +285,15 @@ def _check_weights(weights) -> float:
     if weight_sum <= 0.0:
         raise DegenerateWeightError(
             "all sample weights vanished; increase the number of samples"
+        )
+    # Scaled by the largest weight, so that no square under- or overflows.
+    r = weights / weights.max()
+    ess = float(r.sum() ** 2 / (r @ r))
+    floor = MIN_ESS_FRACTION * weights.shape[0]
+    if ess < floor:
+        raise DegenerateWeightError(
+            f"effective sample size {ess:.3g} of {weights.shape[0]} samples is below "
+            f"{floor:.3g}; a few heavy weights carry the estimate"
         )
     return weight_sum
 
@@ -311,7 +321,7 @@ def expectation_vmc(
 ) -> Estimate:
     """Mean local observable over z ~ |<z|Psi>|^2 with its standard error."""
     point = exact_point(params, h)
-    _, index, weights = _draw_samples(params, n_samples, rng, "vmc", point)
+    index, weights = _draw_samples(params, n_samples, rng, "vmc", point)
     return _evaluate_samples(params, h, index, weights, point)[1]
 
 
@@ -323,7 +333,7 @@ def expectation_ensemble(
 ) -> Estimate:
     """Self-normalized estimator over protocol runs: the weighted mean of
     local observables with weights prod_j R^2_{s_j}, ratio standard error."""
-    _, zmat, weights = _draw_samples(params, n_samples, rng, "ensemble")
+    zmat, weights = _draw_samples(params, n_samples, rng, "ensemble")
     return _evaluate_samples(params, h, zmat, weights, None)[1]
 
 
@@ -463,7 +473,6 @@ def compute_a_c_sampled(
     n_samples: int,
     rng: np.random.Generator,
     mode: str = "vmc",
-    sample_log=None,
 ) -> SrSystem:
     """A, C, and the energy accumulated from one shared sample stream.
 
@@ -472,79 +481,8 @@ def compute_a_c_sampled(
     the energy are derived from them - exactly one state preparation per
     sample, reported in ``n_preparations``.  vmc reads them from the dense
     pass it draws from (``exact_point``).  A and C come from the complex
-    covariance of those columns (see the module docstring).  When
-    ``sample_log`` is given, the records are written there for replay.
+    covariance of those columns (see the module docstring).
     """
     point = exact_point(params, h) if mode == "vmc" else None
-    smat, samples, weights = _draw_samples(params, n_samples, rng, mode, point)
-    if sample_log is not None:
-        zmat = samples if point is None else point.zmat[samples]
-        write_sample_log(sample_log, smat, zmat, weights)
+    samples, weights = _draw_samples(params, n_samples, rng, mode, point)
     return _assemble_system(params, h, samples, weights, point)
-
-
-def compute_a_c_from_log(params: RbmParams, h: PauliHamiltonian, path) -> SrSystem:
-    """Replay a sample log that fits ``params``; bit-identical to the original."""
-    smat, zmat, weights = read_sample_log(path)
-    for size, mat, want in (("N", zmat, params.n_visible), ("M", smat, params.n_hidden)):
-        if mat is not None and mat.shape[1] != want:
-            raise ValueError(f"sample log has {size} = {mat.shape[1]}, the parameters {want}")
-    if smat is None:  # vmc: the spins are rows of the dense pass
-        point = exact_point(params, h)
-        return _assemble_system(params, h, spins_to_index(zmat), weights, point)
-    return _assemble_system(params, h, zmat, weights, None)
-
-
-# ---------------------------------------------------------------------------
-# sample log: one "<s-string> <z-string> <weight>" record per line; the
-# s field is "." for modes without hidden outcomes and "_" for the empty
-# outcome history of a protocol run with no hidden units
-
-
-def write_sample_log(path, smat, zmat, weights) -> None:
-    lines = []
-    for k in range(zmat.shape[0]):
-        s_str = "." if smat is None else spins_to_string(smat[k]) or "_"
-        lines.append(f"{s_str} {spins_to_string(zmat[k])} {float(weights[k])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_sample_log(path):
-    s_rows, z_rows, weights = [], [], []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != 3:
-            raise ValueError(f"sample log line {lineno}: expected 3 fields")
-        s_tok, z_tok, w_tok = tokens
-        s_row = None if s_tok == "." else string_to_spins("" if s_tok == "_" else s_tok)
-        z_row = string_to_spins(z_tok)
-        if s_rows and (s_row is None) != (s_rows[0] is None):
-            raise ValueError(
-                f"sample log line {lineno}: mixes '.' records (no hidden outcomes) "
-                "with hidden-outcome records"
-            )
-        for name, row, rows in (("outcome", s_row, s_rows), ("spin", z_row, z_rows)):
-            if rows and row is not None and row.size != rows[0].size:
-                raise ValueError(
-                    f"sample log line {lineno}: {name} field has width {row.size}, "
-                    f"not {rows[0].size} as on the first record"
-                )
-        s_rows.append(s_row)
-        z_rows.append(z_row)
-        try:
-            weight = float(w_tok)
-        except ValueError:
-            weight = float("nan")
-        if not (np.isfinite(weight) and weight >= 0.0):
-            raise ValueError(
-                f"sample log line {lineno}: weight {w_tok!r} is not a finite "
-                "non-negative number"
-            )
-        weights.append(weight)
-    if not z_rows:
-        raise ValueError("empty sample log")
-    smat = None if s_rows[0] is None else np.stack(s_rows)
-    return smat, np.stack(z_rows), np.array(weights)

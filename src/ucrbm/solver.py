@@ -84,6 +84,10 @@ class IteConfig:
             raise ValueError("need at least one step")
         if self.convergence_window < 1:
             raise ValueError("convergence_window must be at least 1")
+        # "not >= 0" also refuses NaN, which compares False like a negative
+        # value and would silently turn early stopping off as well.
+        if not self.convergence_threshold >= 0:
+            raise ValueError("convergence_threshold must be non-negative (0 disables it)")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.n_threads != 1:

@@ -22,11 +22,10 @@ def as_spins(z) -> np.ndarray:
     return out
 
 
-def spins_to_index(z: np.ndarray) -> int | np.ndarray:
-    """Basis index of a spin vector; for a (K, N) batch, the indices of its rows."""
+def spins_to_index(z: np.ndarray) -> int:
     bits = (1 - np.asarray(z, dtype=np.int64)) // 2
-    index = bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1, dtype=np.int64))
-    return int(index) if bits.ndim == 1 else index
+    n = bits.shape[0]
+    return int(bits @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64)))
 
 
 def index_to_spins(index: int, n: int) -> np.ndarray:
@@ -39,13 +38,3 @@ def all_spin_configs(n: int) -> np.ndarray:
     idx = np.arange(1 << n)[:, None]
     bits = (idx >> np.arange(n - 1, -1, -1)[None, :]) & 1
     return (1 - 2 * bits).astype(np.int8)
-
-
-def spins_to_string(z: np.ndarray) -> str:
-    return "".join("+" if s > 0 else "-" for s in z)
-
-
-def string_to_spins(text: str) -> np.ndarray:
-    if any(ch not in "+-" for ch in text):
-        raise ValueError(f"spin string may only contain '+'/'-', got {text!r}")
-    return np.array([1 if ch == "+" else -1 for ch in text], dtype=np.int8)

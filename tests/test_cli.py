@@ -1,3 +1,5 @@
+import pytest
+
 from ucrbm.cli import main
 from ucrbm.hamiltonians import build_tfi, save_pauli_file
 
@@ -77,6 +79,28 @@ class TestComputeErrors:
         )
         assert code == 2
         assert not trace.exists()
+
+    @pytest.mark.parametrize("threshold", ["-1", "nan"])
+    def test_bad_convergence_threshold_is_refused_before_any_work(self, tmp_path, threshold):
+        trace = tmp_path / "t.csv"
+        code = run_cli(
+            ["ite", "--model", "tfi", "--n", "3", "--steps", "50",
+             f"--conv-threshold={threshold}",
+             "--trace-out", str(trace), "--params-out", str(tmp_path / "p.txt")]
+        )
+        assert code == 2
+        assert not trace.exists()
+
+    def test_degenerate_ensemble_weights_name_the_step(self, capsys):
+        # at this start the step-0 batch has an effective sample size of
+        # 35 of 4096 (0.0086), below the 1/64 floor
+        code = run_cli(
+            ["ite", "--model", "tfi", "--n", "10", "--init-std", "0.7", "--seed", "1",
+             "--mode", "ensemble", "--steps", "1"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "step 0: effective sample size" in err
 
 
 class TestIte:

@@ -3,23 +3,26 @@ import pytest
 
 from conftest import dense_from_terms, random_pauli_hamiltonian
 
-from ucrbm.circuit import enumerate_branches, measure_visible
+import ucrbm.estimators
+from ucrbm.circuit import enumerate_branches, measure_visible, sample_protocol_batch
 from ucrbm.errors import DegenerateWeightError, NumericalIntegrityError, SizeCapError
 from ucrbm.estimators import (
     C_SIGN,
+    MIN_ESS_FRACTION,
     Estimate,
     SrSystem,
+    _assemble_system,
+    _check_weights,
     _distinct_rows,
+    _draw_samples,
     _evaluate,
     compute_a_c_exact,
-    compute_a_c_from_log,
     compute_a_c_sampled,
+    exact_point,
     expectation_ensemble,
     expectation_exact,
     expectation_vmc,
     local_observable,
-    read_sample_log,
-    write_sample_log,
 )
 from ucrbm.hamiltonians import (
     PauliHamiltonian,
@@ -191,6 +194,28 @@ class TestExpectationEnsemble:
                 break
         assert raised
 
+    @staticmethod
+    def rarely_accepted_params():
+        # Re m = 0: a run weighs 1 when every hidden outcome is +1, else 0.
+        # P(s_j = +1) = cos^2 Im m_j = 0.42, so 0.42^8 ~ 9.7e-4 of runs count.
+        n = 8
+        return RbmParams(
+            np.zeros(n, complex), np.full(n, 1j * np.arccos(np.sqrt(0.42))),
+            np.zeros((n, n), complex), unitary_coupled=True,
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_low_effective_sample_size_is_refused(self, seed):
+        # a handful of runs carry weight: not all weights vanished, but the
+        # effective sample size is far below MIN_ESS_FRACTION of the batch
+        p, h = self.rarely_accepted_params(), build_tfi(8, 0.5)
+        _, _, weights = sample_protocol_batch(p, 4096, np.random.default_rng(seed))
+        assert 0 < weights.sum() < MIN_ESS_FRACTION * 4096
+        with pytest.raises(DegenerateWeightError, match="effective sample size"):
+            expectation_ensemble(p, h, 4096, np.random.default_rng(seed))
+        with pytest.raises(DegenerateWeightError, match="effective sample size"):
+            compute_a_c_sampled(p, h, 4096, np.random.default_rng(seed), mode="ensemble")
+
     def test_requires_unitary_couplings(self):
         p = random_init(2, 2, 0.3, 0, False)
         with pytest.raises(ValueError):
@@ -330,65 +355,41 @@ class TestComputeAcSampled:
         assert np.array_equal(a.a, b.a) and np.array_equal(a.c, b.c)
         assert a.energy.mean == b.energy.mean
 
-    def test_replay_from_log_is_bitwise_identical(self, tmp_path):
-        h = build_tfi(3, 0.5)
-        p = random_init(3, 3, 0.3, 7, True)
-        for mode in ("vmc", "ensemble"):
-            log = tmp_path / f"{mode}.log"
-            original = compute_a_c_sampled(
-                p, h, 500, np.random.default_rng(9), mode=mode, sample_log=log
-            )
-            replayed = compute_a_c_from_log(p, h, log)
-            assert np.array_equal(original.a, replayed.a)
-            assert np.array_equal(original.c, replayed.c)
-            assert original.energy.mean == replayed.energy.mean
-            assert original.energy.std_error == replayed.energy.std_error
-
-    def test_replay_is_independent_of_row_order(self, tmp_path):
-        # Shuffled lines, some split into two copies that share the line's
+    def test_replay_is_independent_of_row_order(self):
+        # Shuffled rows, some split into two copies that share the row's
         # weight: each configuration keeps its total weight, so A, C and the
         # energy mean are unchanged.
         h = build_afh(4)
         p = random_init(4, 3, 0.3, 2, True)
         rng = np.random.default_rng(8)
         for mode in ("vmc", "ensemble"):
-            log = tmp_path / f"{mode}.log"
-            original = compute_a_c_sampled(
-                p, h, 600, np.random.default_rng(3), mode=mode, sample_log=log
-            )
-            smat, zmat, weights = read_sample_log(log)
-            split = rng.choice(zmat.shape[0], size=100, replace=False)
+            original = compute_a_c_sampled(p, h, 600, np.random.default_rng(3), mode=mode)
+            point = exact_point(p, h) if mode == "vmc" else None
+            samples, weights = _draw_samples(p, 600, np.random.default_rng(3), mode, point)
+            split = rng.choice(samples.shape[0], size=100, replace=False)
             weights[split] *= 0.5
-            rows = np.concatenate([np.arange(zmat.shape[0]), split])
+            rows = np.concatenate([np.arange(samples.shape[0]), split])
             rows = rng.permutation(rows)
-            other = tmp_path / f"{mode}-shuffled.log"
-            write_sample_log(
-                other, None if smat is None else smat[rows], zmat[rows], weights[rows]
-            )
-            replayed = compute_a_c_from_log(p, h, other)
+            replayed = _assemble_system(p, h, samples[rows], weights[rows], point)
             np.testing.assert_allclose(replayed.a, original.a, rtol=0, atol=1e-12)
             np.testing.assert_allclose(replayed.c, original.c, rtol=0, atol=1e-12)
             assert replayed.energy.mean == pytest.approx(original.energy.mean, abs=1e-12)
 
-    def test_weight_zero_lines_do_not_move_the_vmc_estimate(self, tmp_path):
+    def test_weight_zero_lines_do_not_move_the_vmc_estimate(self):
         # The standard error is the ratio one in every sampled mode, so
-        # records of weight 0 change neither the mean nor its error.
+        # samples of weight 0 change neither the mean nor its error.
         h = build_tfi(3, 0.5)
         p = random_init(3, 3, 0.3, 7, True)
-        log = tmp_path / "vmc.log"
-        original = compute_a_c_sampled(
-            p, h, 400, np.random.default_rng(9), mode="vmc", sample_log=log
+        original = compute_a_c_sampled(p, h, 400, np.random.default_rng(9), mode="vmc")
+        point = exact_point(p, h)
+        index, weights = _draw_samples(p, 400, np.random.default_rng(9), "vmc", point)
+        extra = index[np.random.default_rng(1).integers(0, index.shape[0], 100)]
+        padded = _assemble_system(
+            p, h, np.concatenate([index, extra]), np.concatenate([weights, np.zeros(100)]),
+            point,
         )
-        _, zmat, weights = read_sample_log(log)
-        padded = tmp_path / "vmc-padded.log"
-        extra = zmat[np.random.default_rng(1).integers(0, zmat.shape[0], 100)]
-        write_sample_log(
-            padded, None, np.concatenate([zmat, extra]),
-            np.concatenate([weights, np.zeros(100)]),
-        )
-        replayed = compute_a_c_from_log(p, h, padded)
-        assert replayed.energy.mean == pytest.approx(original.energy.mean, rel=1e-12)
-        assert replayed.energy.std_error == pytest.approx(
+        assert padded.energy.mean == pytest.approx(original.energy.mean, rel=1e-12)
+        assert padded.energy.std_error == pytest.approx(
             original.energy.std_error, rel=1e-12
         )
 
@@ -398,14 +399,13 @@ class TestVmcDensePass:
     # from that pass.
 
     @pytest.mark.parametrize("n, seed", [(3, 0), (6, 1), (10, 2)])
-    def test_draws_are_measure_visible_row_for_row(self, tmp_path, n, seed):
+    def test_draws_are_measure_visible_row_for_row(self, n, seed):
         h = build_tfi(n, 0.5)
         p = random_init(n, n, 0.3, seed, True)
-        log = tmp_path / "vmc.log"
-        compute_a_c_sampled(p, h, 500, np.random.default_rng(seed), mode="vmc", sample_log=log)
-        _, zmat, _ = read_sample_log(log)
+        point = exact_point(p, h)
+        index, _ = _draw_samples(p, 500, np.random.default_rng(seed), "vmc", point)
         want = measure_visible(exact_statevector(p), 500, np.random.default_rng(seed))
-        assert np.array_equal(zmat, want)
+        assert np.array_equal(point.zmat[index], want)
 
     @pytest.mark.parametrize("unitary", [True, False])
     def test_expectation_vmc_is_the_system_energy(self, unitary):
@@ -414,30 +414,6 @@ class TestVmcDensePass:
         est = expectation_vmc(p, h, 700, np.random.default_rng(11))
         system = compute_a_c_sampled(p, h, 700, np.random.default_rng(11), mode="vmc")
         assert est == system.energy
-
-    @staticmethod
-    def vanishing_params():
-        # psi(z) = 0 in float64 wherever z_0 = -1: exp(-800) underflows
-        return RbmParams(
-            b=np.array([400.0, 0.0], complex), m=np.zeros(1, complex),
-            w=np.zeros((2, 1), complex), unitary_coupled=True,
-        )
-
-    def test_replayed_row_of_zero_amplitude_is_refused(self, tmp_path):
-        log = tmp_path / "vmc.log"
-        log.write_text(". -+ 1.0\n")
-        with pytest.raises(NumericalIntegrityError, match=r"configuration -\+ "):
-            compute_a_c_from_log(self.vanishing_params(), build_tfi(2, 0.5), log)
-
-    def test_replayed_row_of_zero_amplitude_and_weight_is_ignored(self, tmp_path):
-        h, p = build_tfi(2, 0.5), self.vanishing_params()
-        padded, plain = tmp_path / "padded.log", tmp_path / "plain.log"
-        padded.write_text(". ++ 1.0\n. -+ 0.0\n")
-        plain.write_text(". ++ 1.0\n")
-        got, want = compute_a_c_from_log(p, h, padded), compute_a_c_from_log(p, h, plain)
-        assert np.isfinite(got.energy.mean)
-        assert got.energy.mean == want.energy.mean
-        assert np.array_equal(got.a, want.a) and np.array_equal(got.c, want.c)
 
 
 def void_key_rows(zmat, wn):
@@ -567,89 +543,44 @@ class TestWeightedEstimatorUnbiasedness:
             assert numer / denom == pytest.approx(exact, abs=1e-10)
 
 
-class TestSampleLog:
-    def test_round_trip(self, tmp_path):
-        smat = np.array([[1, -1], [-1, -1]], dtype=np.int8)
-        zmat = np.array([[1, 1, -1], [-1, 1, 1]], dtype=np.int8)
-        weights = np.array([0.25, 1.75])
-        path = tmp_path / "samples.log"
-        write_sample_log(path, smat, zmat, weights)
-        s2, z2, w2 = read_sample_log(path)
-        assert np.array_equal(smat, s2) and np.array_equal(zmat, z2)
-        assert np.array_equal(weights, w2)
+class TestCheckWeights:
+    def test_floor_is_a_fraction_of_the_sample_count(self):
+        # equal weights on j of K samples give an effective sample size of j;
+        # the floor is relative so that TestExpectationEnsemble's correct
+        # K = 50 batch of equal weights passes
+        k = 4096
+        floor = int(MIN_ESS_FRACTION * k)
+        assert _check_weights(np.r_[np.ones(floor), np.zeros(k - floor)]) == floor
+        with pytest.raises(DegenerateWeightError, match="size 63 of 4096 samples"):
+            _check_weights(np.r_[np.ones(floor - 1), np.zeros(k - floor + 1)])
 
-    def test_vmc_log_uses_placeholder(self, tmp_path):
-        zmat = np.array([[1, -1]], dtype=np.int8)
-        path = tmp_path / "samples.log"
-        write_sample_log(path, None, zmat, np.ones(1))
-        assert path.read_text().startswith(". ")
-        s2, z2, w2 = read_sample_log(path)
-        assert s2 is None
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_weight_scales_are_judged_by_their_spread(self, scale):
+        # sum w^2 under- or overflows here; the ratio must not
+        weights = scale * np.random.default_rng(0).random(4096)
+        assert _check_weights(weights) > 0.0
 
-    def test_round_trip_without_hidden_units(self, tmp_path):
-        h = build_tfi(3, 0.5)
-        p = random_init(3, 0, 0.3, 2, True)
-        log = tmp_path / "samples.log"
-        original = compute_a_c_sampled(
-            p, h, 200, np.random.default_rng(4), mode="ensemble", sample_log=log
-        )
-        smat, zmat, _ = read_sample_log(log)
-        assert smat.shape == (200, 0) and zmat.shape == (200, 3)
-        replayed = compute_a_c_from_log(p, h, log)
-        assert np.array_equal(original.a, replayed.a)
-        assert np.array_equal(original.c, replayed.c)
-        assert original.energy == replayed.energy
 
-    def test_malformed_log_rejected(self, tmp_path):
-        path = tmp_path / "bad.log"
-        path.write_text("+- ++\n")
-        with pytest.raises(ValueError):
-            read_sample_log(path)
+class TestBenchmarkHooks:
+    # perfbench/tracer.py wraps estimators._draw_samples and
+    # estimators.sample_protocol_batch by name, and reads the weights as the
+    # sampler's third return value.  A name missing here drops its span from
+    # the per-layer report with no error.
 
-    @pytest.mark.parametrize(
-        "text",
-        [". ++ 1.0\n+- -+ 0.5\n", "+- ++ 1.0\n. -+ 0.5\n"],
-        ids=["dot-first", "dot-second"],
-    )
-    def test_mixed_hidden_outcomes_rejected(self, tmp_path, text):
-        # a "." record has no hidden outcomes; one log cannot hold both kinds
-        path = tmp_path / "bad.log"
-        path.write_text(text)
-        with pytest.raises(ValueError, match="sample log line 2"):
-            read_sample_log(path)
+    def test_draws_go_through_the_wrapped_sampler(self, monkeypatch):
+        assert callable(ucrbm.estimators._draw_samples)
+        assert ucrbm.estimators.sample_protocol_batch is sample_protocol_batch
+        results = []
 
-    @pytest.mark.parametrize(
-        "text",
-        ["+- ++ 1.0\n+ -+ 0.5\n", "+- ++ 1.0\n+- -+- 0.5\n"],
-        ids=["outcome-width", "spin-width"],
-    )
-    def test_ragged_fields_rejected(self, tmp_path, text):
-        path = tmp_path / "bad.log"
-        path.write_text(text)
-        with pytest.raises(ValueError, match="sample log line 2: .* width"):
-            read_sample_log(path)
+        def recording(*args):
+            results.append(sample_protocol_batch(*args))
+            return results[-1]
 
-    @pytest.mark.parametrize(
-        "params, match",
-        [
-            (random_init(3, 2, 0.1, 0, True), "N = 2, the parameters 3"),
-            (random_init(2, 3, 0.1, 0, True), "M = 2, the parameters 3"),
-            (random_init(2, 2, 0.1, 0, False), "the ensemble mode requires unitary"),
-        ],
-        ids=["visible-width", "hidden-width", "unrestricted"],
-    )
-    def test_replay_refuses_a_log_that_does_not_fit(self, tmp_path, params, match):
-        path = tmp_path / "samples.log"
-        path.write_text("+- ++ 1.0\n-+ -+ 0.5\n")
-        with pytest.raises(ValueError, match=match):
-            compute_a_c_from_log(params, build_tfi(params.n_visible, 0.5), path)
-
-    @pytest.mark.parametrize("weight", ["nan", "inf", "-0.5", "abc"])
-    def test_bad_weight_rejected(self, tmp_path, weight):
-        path = tmp_path / "bad.log"
-        path.write_text(f"+- ++ 0.5\n+- -+ {weight}\n")
-        with pytest.raises(ValueError, match="sample log line 2"):
-            read_sample_log(path)
+        monkeypatch.setattr(ucrbm.estimators, "sample_protocol_batch", recording)
+        p = random_init(3, 2, 0.3, 0, True)
+        _, weights = _draw_samples(p, 100, np.random.default_rng(5), "ensemble")
+        (result,) = results
+        assert result[2] is weights
 
 
 class TestSrSystemValidation:

@@ -276,6 +276,12 @@ class TestIteRun:
             with pytest.raises(ValueError, match="convergence_window"):
                 IteConfig(convergence_window=window)
 
+    @pytest.mark.parametrize("threshold", [-1.0, -1e-12, float("nan")])
+    def test_negative_or_nan_threshold_is_refused(self, threshold):
+        # both compared False against 0 and silently turned early stopping off
+        with pytest.raises(ValueError, match="convergence_threshold"):
+            IteConfig(convergence_threshold=threshold)
+
     def test_thread_count_is_pinned(self):
         # sampling is serial; the field only accepts the value 1
         assert IteConfig(n_threads=1).n_threads == 1
