@@ -312,10 +312,20 @@ def sample_protocol_batch(
     emulates the gates and serves as the test oracle.
 
     Returns (outcomes (n_runs, M) int8, measured spins (n_runs, N) int8,
-    weights prod_j R_{s_j}(Re m_j)^2 (n_runs,)).
+    weights prod_j R_{s_j}(Re m_j)^2 (n_runs,)).  Parameters whose largest
+    weight, prod_j cosh^2 Re m_j, overflows a float are refused before any
+    draw: their weights would be inf and the normalized ones NaN.
     """
     if not params.unitary_coupled:
         raise ValueError("batched protocol sampling requires unitary couplings")
+    # log cosh a = logaddexp(a, -a) - log 2 stays finite where cosh^2 overflows
+    a = params.m.real
+    log_max_weight = float(np.sum(2.0 * (np.logaddexp(a, -a) - np.log(2.0))))
+    if log_max_weight > np.log(np.finfo(np.float64).max):
+        raise NumericalIntegrityError(
+            f"the largest protocol weight, prod_j cosh^2 Re m_j = exp({log_max_weight:.6g}), "
+            "overflows a float"
+        )
     p_up = 0.5 * (1.0 + np.tanh(2.0 * params.b.real))
     zmat = np.where(rng.random((n_runs, params.n_visible)) < p_up, np.int8(1), np.int8(-1))
     phi = params.m.imag[None, :] + zmat.astype(np.float64) @ params.w.imag

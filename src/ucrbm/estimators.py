@@ -18,7 +18,7 @@ drawn serially from the caller's generator, so a seed fixes the result.
 Exact mode and vmc make one dense pass over the 2^N configurations
 (``exact_point``, which the solver also uses to try step sizes): one
 hidden-angle pass theta = m + zW gives the amplitudes psi (log cosh theta)
-and the derivative columns (tanh theta), and H psi comes from the
+and tanh theta for the derivative moments, and H psi comes from the
 ``apply_h`` gather.  Exact mode weighs every configuration: e = conj(psi)
 H psi is p E_loc with no division, so no row of vanishing amplitude can
 enter as 0 * inf and none is dropped.  vmc draws basis indices from the
@@ -31,17 +31,31 @@ The ensemble mode has no statevector and no 2^N cap, so it goes through
 weight: rows are keyed by their packed bits, read as integer words, and
 their weights summed, rows of weight 0 are dropped, and one tanh(theta)
 pass per row feeds both the flipped-site local-energy kernel and the
-derivative columns.  The kernel has only the unitary-coupled lane, so
+derivative moments.  The kernel has only the unitary-coupled lane, so
 ``_evaluate`` refuses unrestricted parameters.  In both sampled modes
 means, standard errors and preparation counts stay per sample, with local
 energies gathered back through the map from samples to rows.
 
 Each real slot's log-derivative is one of the N + M + N*M distinct complex
 columns x = (z_i, tanh theta_j, z_i tanh theta_j) or i times one.  A and C
-are therefore derived from the complex covariance of x with itself and with
-the local energy, not from the (K, P) slot matrix, so the structural
-identities of A (the exact zero of each column's Re/Im pair, the equal
-Re/Re and Im/Im blocks, the opposite cross blocks) hold bitwise.  For
+are therefore derived from the complex covariance S of x with itself and
+F of x with the local energy, not from the (K, P) slot matrix, so the
+structural identities of A (the exact zero of each column's Re/Im pair,
+the equal Re/Re and Im/Im blocks, the opposite cross blocks) hold bitwise.
+No column array is built either (``_moments``): since z_i^2 = 1, every
+entry of E[conj(x) x^T] is the weighted mean of a visible monomial (1,
+z_i, z_i z_i') times a hidden one (1, t_j, conj(t_j) t_j') or its
+conjugate, with t = tanh theta.  One real GEMM over the distinct rows,
+(1 + N + N(N-1)/2) visible against 2 (1 + M + M(M+1)/2) hidden floats,
+gives all of them; E[conj(x) x^T] and E[x] are gathers from it, S is the
+first minus conj(E x) E[x]^T, averaged with its conjugate transpose so
+that it is Hermitian bitwise, and F is one product of [1, z] against
+conj([1, t]) times the energy terms.  At N = M = 10 that is 7.4k real
+multiply-adds a row, against about 4 D^2 = 57.6k for the (U, D) complex
+covariance.  Raw moments minus the squared mean lose a column's variance
+to cancellation where its mean is near unit modulus (a near-basis state):
+S is then exact to about eps |E x|^2 absolute, far below the solver's
+regularization.  For
 unrestricted parameters every column has both a Re and an Im slot, A is the
 real form of the D x D covariance S, and the system is handed to the solver
 in that half-size complex form; A and C are built only when read (see
@@ -66,7 +80,6 @@ from .rbm import (
     exact_statevector,
     hidden_angles,
     log_amplitude,
-    log_derivative_columns,
     spin_rows,
     statevector_from_angles,
 )
@@ -341,23 +354,106 @@ def expectation_ensemble(
 # stochastic-reconfiguration system
 
 
-def _covariance(x, wn):
-    """S = E[conj(x) x^T] - E[conj(x)] E[x]^T over the distinct derivative
-    columns x, which are centred in place; also returns wn * conj(x)."""
+class _MomentLayout(NamedTuple):
+    """Where S, the mean of x and F read their entries, as flat indices into
+    the visible x hidden moment matrix G and the (1 + N, 1 + M) product H
+    of ``_moments``."""
+
+    s_index: np.ndarray  # (D, D) index into G
+    s_conj: np.ndarray  # (D, D) True where S takes conj of G's entry
+    mean_index: np.ndarray  # (D,) index into G
+    f_index: np.ndarray  # (D,) index into H
+
+
+@lru_cache(maxsize=8)
+def _moment_layout(n_visible: int, n_hidden: int) -> _MomentLayout:
+    """The moment gathers of one (N, M), built once.
+
+    Column x = v h of ``log_derivative_columns`` has a visible factor v
+    (0 for 1, 1 + i for z_i) and a hidden factor h (0 for 1, 1 + j for
+    t_j).  conj(x_a) x_b = (v_a v_b) conj(h_a) h_b, and since z_i^2 = 1 the
+    visible product is one of the visible monomials 1, z_i, z_i z_i'
+    (i < i'), the hidden one a hidden monomial 1, t_j, conj(t_j) t_j'
+    (j <= j') or its conjugate.
+    """
+    n, m = n_visible, n_hidden
+    vis = np.concatenate([1 + np.arange(n), np.zeros(m, np.intp), np.tile(1 + np.arange(n), m)])
+    hid = np.concatenate([np.zeros(n, np.intp), 1 + np.arange(m), np.repeat(1 + np.arange(m), n)])
+    # Monomial of v_a v_b: 1 on the diagonal, pairs in triu_indices order.
+    vprod = np.zeros((n + 1, n + 1), dtype=np.intp)
+    vprod[0], vprod[:, 0] = np.arange(n + 1), np.arange(n + 1)
+    upper = np.triu_indices(n, 1)
+    vprod[1:, 1:][upper] = 1 + n + np.arange(upper[0].shape[0])
+    vprod[1:, 1:] += vprod[1:, 1:].T
+    # Monomial of conj(h_a) h_b, conjugated below the diagonal.
+    hprod = np.zeros((m + 1, m + 1), dtype=np.intp)
+    hprod[0], hprod[:, 0] = np.arange(m + 1), np.arange(m + 1)
+    upper = np.triu_indices(m)
+    hprod[1:, 1:][upper] = 1 + m + np.arange(upper[0].shape[0])
+    hprod[1:, 1:] += np.triu(hprod[1:, 1:], 1).T
+    hconj = np.tril(np.ones((m + 1, m + 1), dtype=bool), -1)
+    n_hid = 1 + m + m * (m + 1) // 2
+    layout = _MomentLayout(
+        s_index=vprod[vis[:, None], vis[None, :]] * n_hid + hprod[hid[:, None], hid[None, :]],
+        s_conj=hconj[hid[:, None], hid[None, :]],
+        mean_index=vis * n_hid + hid,
+        f_index=vis * (1 + m) + hid,
+    )
+    for arr in layout:
+        arr.flags.writeable = False
+    return layout
+
+
+def _moments(zmat, t, wn, g):
+    """S = sum_k wn_k conj(x_k - mean) (x_k - mean)^T and
+    F = sum_k conj(x_k - mean) g_k, mean = sum_k wn_k x_k, over the D
+    distinct derivative columns x of U rows of float spins ``zmat`` with
+    tanh ``t``.
+
+    No (U, D) column array is built.  G holds every weighted moment of a
+    visible monomial (1, z_i, z_i z_i') times a hidden one (1, t_j,
+    conj(t_j) t_j'), from one real GEMM of the visible monomials against
+    the float view of the hidden ones; E[conj(x) x^T] and the mean are
+    gathers from G (``_moment_layout``).  F is one product of [1, z]
+    against conj([1, t]) g.
+    """
+    u, n = zmat.shape
+    m = t.shape[1]
+    layout = _moment_layout(n, m)
+    # Visible monomials as rows, so that each pair block is one contiguous
+    # multiply and the GEMM reads both operands with unit stride.
+    zm = np.empty((1 + n + n * (n - 1) // 2, u))
+    zm[0] = 1.0
+    zm[1 : 1 + n] = zmat.T
+    start = 1 + n
+    for i in range(n - 1):
+        np.multiply(zm[1 + i], zm[2 + i : 1 + n], out=zm[start : start + n - 1 - i])
+        start += n - 1 - i
+    tm = np.empty((u, 1 + m + m * (m + 1) // 2), dtype=np.complex128)
+    tm[:, 0] = wn
+    np.multiply(t, wn[:, None], out=tm[:, 1 : 1 + m])
+    tc = t.conj()
+    start = 1 + m
+    for j in range(m):
+        np.multiply(tc[:, j : j + 1], tm[:, 1 + j : 1 + m], out=tm[:, start : start + m - j])
+        start += m - j
+    moments = (zm @ tm.view(np.float64)).view(np.complex128).ravel()
+    s = moments[layout.s_index]
+    np.conjugate(s, out=s, where=layout.s_conj)
+    mean = moments[layout.mean_index]
+    tg = np.empty((u, 1 + m), dtype=np.complex128)
+    tg[:, 0] = g
+    np.multiply(tc, g[:, None], out=tg[:, 1:])
+    f = (zm[: 1 + n] @ tg.view(np.float64)).view(np.complex128).ravel()
+    # The weights sum to 1 and g to 0 only to rounding, about U eps.  The
+    # first moments (sum w, sum g) keep S and F at the centred sums
+    # sum w conj(x - mean) (x - mean)^T and sum conj(x - mean) g, which
+    # matters where a column's variance is far below its squared mean.
+    s -= (2.0 - moments[0].real) * np.multiply.outer(mean.conj(), mean)
     # Averaging S with its conjugate transpose makes it Hermitian bitwise,
-    # so its diagonal sum_k w_k |x_k - mean x|^2 is real and each column's
-    # Re/Im pair entry of A, -Im S_xx, is exactly 0.
-    x -= wn @ x
-    xw = x.conj()
-    xw *= wn[:, None]
-    s = xw.T @ x
-    return 0.5 * (s + s.conj().T), xw
-
-
-def _sampled_moments(x, wn, eloc):
-    """S and F = E[conj(x) (E_loc - mean E_loc)] over sampled rows."""
-    s, xw = _covariance(x, wn)
-    return s, xw.T @ (eloc - complex(wn @ eloc))
+    # so its diagonal is real and each column's Re/Im pair entry of A,
+    # -Im S_xx, is exactly 0.
+    return 0.5 * (s + s.conj().T), f[layout.f_index] - mean.conj() * f[0]
 
 
 class _SlotLayout(NamedTuple):
@@ -413,9 +509,8 @@ def _slot_system(params, s, f, energy, n_preparations) -> SrSystem:
 
 def _assemble_system(params, h, samples, weights, point):
     (rows, row_w, t, eloc_rows), energy = _evaluate_samples(params, h, samples, weights, point)
-    # The (U, D) column arrays are freed before A is built: held here, they
-    # raised the ensemble workload's peak RSS by about 5 MB.
-    s, f = _sampled_moments(log_derivative_columns(rows, t), row_w, eloc_rows)
+    g = row_w * (eloc_rows - complex(row_w @ eloc_rows))
+    s, f = _moments(rows, t, row_w, g)
     return _slot_system(params, s, f, energy, samples.shape[0])
 
 
@@ -452,17 +547,16 @@ def compute_a_c_exact(
 ) -> SrSystem:
     """A and C with expectations taken over the exact statevector.
 
-    The dense pass (``exact_point``) gives psi and, from the same theta, the
-    derivative columns x.  With p = |psi|^2 and e = conj(psi) H psi = p E_loc,
-    the energy is E = sum e and F = sum conj(x - mean x) (e - p E).  A
-    ``point`` already evaluated at this very ``params`` object is reused.
+    The dense pass (``exact_point``) gives psi and, from the same theta,
+    tanh theta.  With p = |psi|^2 and e = conj(psi) H psi = p E_loc, the
+    energy is E = sum e and F = sum conj(x) (e - p E) over the derivative
+    columns x (``_moments``).  A ``point`` already evaluated at this very
+    ``params`` object is reused.
     """
     if point is None or point.params is not params:
         point = exact_point(params, h)
     p = point.psi.probabilities()
-    x = log_derivative_columns(point.zmat, np.tanh(point.theta))
-    s, _ = _covariance(x, p)
-    f = ((point.e - p * point.energy).conj() @ x).conj()
+    s, f = _moments(point.zmat, np.tanh(point.theta), p, point.e - p * point.energy)
     estimate = Estimate(mean=point.energy.real, std_error=0.0, n_samples=0, mode="exact")
     return _slot_system(params, s, f, estimate, 0)
 
@@ -476,12 +570,12 @@ def compute_a_c_sampled(
 ) -> SrSystem:
     """A, C, and the energy accumulated from one shared sample stream.
 
-    The distinct derivative columns and the local energy are evaluated once
-    per distinct sampled configuration, and every A entry, every C entry, and
-    the energy are derived from them - exactly one state preparation per
-    sample, reported in ``n_preparations``.  vmc reads them from the dense
-    pass it draws from (``exact_point``).  A and C come from the complex
-    covariance of those columns (see the module docstring).
+    tanh theta and the local energy are evaluated once per distinct sampled
+    configuration, and every A entry, every C entry, and the energy are
+    derived from them - exactly one state preparation per sample, reported
+    in ``n_preparations``.  vmc reads them from the dense pass it draws from
+    (``exact_point``).  A and C come from the monomial moments of those rows
+    (``_moments``; see the module docstring).
     """
     point = exact_point(params, h) if mode == "vmc" else None
     samples, weights = _draw_samples(params, n_samples, rng, mode, point)

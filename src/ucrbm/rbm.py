@@ -197,6 +197,9 @@ def log_derivative_columns(zmat: np.ndarray, t: np.ndarray) -> np.ndarray:
     Row k holds z_i, tanh(theta_j) and z_i*tanh(theta_j) (column j*N + i),
     filled into one preallocated array.  Every real parameter slot's
     derivative is one of them or i times one (``VariationalIndex.slot_columns``).
+    Not on the ITE path: the SR system takes their moments from the
+    monomials of z and tanh theta (``estimators._moments``) without building
+    them.  They serve ``log_derivatives_batch``, the named oracle.
     """
     k, n = zmat.shape
     m = t.shape[1]
@@ -213,6 +216,9 @@ def log_derivatives_batch(params: RbmParams, zmat: np.ndarray) -> np.ndarray:
     Row k holds, in VariationalIndex order: z_i, i*z_i, tanh(theta_j),
     i*tanh(theta_j), i*z_i*tanh(theta_j) and (unrestricted only)
     z_i*tanh(theta_j), with theta_j = m_j + sum_i w_ij z_i.
+
+    The named oracle for the slot order and the SR system's moments; no ITE
+    step calls it (see ``log_derivative_columns``).
     """
     zmat = np.ascontiguousarray(zmat, dtype=np.float64)
     x = log_derivative_columns(zmat, np.tanh(hidden_angles(params, zmat)))
@@ -221,6 +227,8 @@ def log_derivatives_batch(params: RbmParams, zmat: np.ndarray) -> np.ndarray:
 
 
 def log_derivatives(params: RbmParams, z) -> np.ndarray:
+    """``log_derivatives_batch`` of one configuration: public, and like it
+    an oracle that no ITE step calls."""
     z = as_spins(z)
     return log_derivatives_batch(params, z[None, :].astype(np.float64))[0]
 

@@ -16,6 +16,10 @@ from ucrbm.estimators import (
     _distinct_rows,
     _draw_samples,
     _evaluate,
+    _moment_layout,
+    _moments,
+    _real_form,
+    _slot_layout,
     compute_a_c_exact,
     compute_a_c_sampled,
     exact_point,
@@ -39,6 +43,7 @@ from ucrbm.rbm import (
     log_derivatives_batch,
     random_init,
 )
+from ucrbm.solver import IteConfig, ite_run
 from ucrbm.spins import all_spin_configs, index_to_spins
 
 
@@ -242,6 +247,36 @@ class TestExpectationEnsemble:
             p, h, 20_000, np.random.default_rng(1), mode="ensemble"
         )
         assert abs(system.energy.mean - exact) <= 4 * system.energy.std_error
+
+    @staticmethod
+    def overflowing_params():
+        # cosh^2(400) = inf: every weight would be inf, and the normalized
+        # weights inf/inf = NaN, dropping every row
+        p = random_init(3, 2, 0.3, 0, True)
+        m = p.m.copy()
+        m[0] = 400.0 + 1j * m[0].imag
+        return RbmParams(p.b, m, p.w, unitary_coupled=True)
+
+    def test_overflowing_weights_are_refused_before_drawing(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(NumericalIntegrityError, match="overflows a float"):
+            expectation_ensemble(self.overflowing_params(), build_tfi(3, 0.5), 100, rng)
+        assert rng.bit_generator.state == state
+
+    def test_overflowing_weights_stop_ite_at_the_first_step(self):
+        cfg = IteConfig(mode="ensemble", n_steps=3, n_samples=100, convergence_threshold=0.0)
+        with pytest.raises(NumericalIntegrityError, match="^step 0: .*overflows a float"):
+            ite_run(self.overflowing_params(), build_tfi(3, 0.5), cfg)
+
+    def test_largest_finite_weight_is_accepted(self):
+        # prod_j cosh^2 Re m_j stays below the float maximum at Re m_0 = 350
+        p = self.overflowing_params()
+        m = p.m.copy()
+        m[0] = 350.0 + 1j * m[0].imag
+        p = RbmParams(p.b, m, p.w, unitary_coupled=True)
+        _, _, weights = sample_protocol_batch(p, 100, np.random.default_rng(0))
+        assert np.all(np.isfinite(weights)) and weights.max() > 1e300
 
 
 class TestComputeAcExact:
@@ -517,6 +552,85 @@ class TestSrStructuralIdentities:
         assert a is system.a and c is system.c
 
 
+def distinct_columns(p, zmat):
+    """The distinct derivative columns x of ``zmat``, read off the slot
+    matrix of ``log_derivatives_batch``: a Re slot holds x, an Im slot i x."""
+    o = log_derivatives_batch(p, zmat)
+    slots = VariationalIndex.for_params(p).slot_columns()
+    d = p.n_visible + p.n_hidden + p.n_visible * p.n_hidden
+    x = np.empty((zmat.shape[0], d), dtype=np.complex128)
+    for k in range(slots.shape[0]):
+        part, col = divmod(int(slots[k]), d)
+        x[:, col] = o[:, k] * (-1j if part else 1.0)
+    return x
+
+
+class TestMoments:
+    # _moments builds S and F from visible x hidden monomial moments with no
+    # column array; the oracle centres the columns of log_derivatives_batch.
+
+    @staticmethod
+    def inputs(p, seed):
+        # all 2^N rows, some of weight 0, and complex energy terms g
+        rng = np.random.default_rng(seed)
+        zmat = all_spin_configs(p.n_visible).astype(np.float64)
+        u = zmat.shape[0]
+        wn = rng.random(u)
+        wn[1:][rng.random(u - 1) < 0.3] = 0.0
+        wn /= wn.sum()
+        g = rng.normal(size=u) + 1j * rng.normal(size=u)
+        t = np.tanh(p.m[None, :] + zmat @ p.w)
+        return zmat, t, wn, g
+
+    @pytest.mark.parametrize("unitary", [True, False])
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("m", [0, 2, 4])
+    def test_matches_centred_oracle(self, unitary, n, m):
+        for seed in range(2):
+            p = random_init(n, m, 0.5, seed, unitary)
+            zmat, t, wn, g = self.inputs(p, seed)
+            x = distinct_columns(p, zmat)
+            xc = x - wn @ x
+            s_want = (xc.conj().T * wn) @ xc
+            f_want = xc.conj().T @ g
+            s, f = _moments(zmat, t, wn, g)
+            assert s.shape == s_want.shape and f.shape == f_want.shape
+            np.testing.assert_allclose(s, s_want, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(f, f_want, rtol=0, atol=1e-13)
+
+    def test_centred_when_the_weights_do_not_sum_to_one(self):
+        # sampled weights sum to 1 only to rounding; S and F must stay the
+        # centred sums, not E[conj(x) x^T] - conj(mean) mean^T, whose error
+        # is (1 - sum w) |mean|^2
+        p = random_init(3, 2, 0.5, 0, True)
+        zmat, t, wn, g = self.inputs(p, 0)
+        wn = wn * (1.0 + 1e-6)
+        x = distinct_columns(p, zmat)
+        xc = x - wn @ x
+        s, f = _moments(zmat, t, wn, g)
+        np.testing.assert_allclose(s, (xc.conj().T * wn) @ xc, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(f, xc.conj().T @ g, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("unitary", [True, False])
+    def test_hermitian_and_pair_zeros_are_bitwise(self, unitary):
+        p = random_init(4, 3, 1.5, 3, unitary)
+        zmat, t, wn, g = self.inputs(p, 3)
+        s, f = _moments(zmat, t, wn, g)
+        assert np.array_equal(s, s.conj().T)
+        assert np.all(s.diagonal().imag == 0.0)
+        a, _ = _real_form(s, f, _slot_layout(4, 3, unitary))
+        labels = VariationalIndex.for_params(p).labels()
+        re = [k for k, label in enumerate(labels) if "_re[" in label]
+        im = [labels.index(labels[k].replace("_re[", "_im[")) for k in re]
+        assert np.all(a[re, im] == 0.0) and np.all(a[im, re] == 0.0)
+
+    def test_layout_is_cached_and_read_only(self):
+        layout = _moment_layout(3, 2)
+        assert _moment_layout(3, 2) is layout
+        for arr in layout:
+            assert not arr.flags.writeable
+
+
 class TestWeightedEstimatorUnbiasedness:
     def test_exact_branch_average_reproduces_expectation(self):
         # numerator/denominator averages over the exact (history, z) law equal
@@ -582,6 +696,28 @@ class TestBenchmarkHooks:
         (result,) = results
         assert result[2] is weights
 
+    @pytest.mark.parametrize("mode", ["exact", "vmc", "ensemble"])
+    def test_one_assembly_call_per_ite_step(self, monkeypatch, mode):
+        # perfbench/tracer.py opens a step on each call to
+        # solver.compute_a_c_exact / compute_a_c_sampled, and the benchmark's
+        # gate fails a step whose n_preparations is not K (sampled) or 0
+        # (exact).
+        import ucrbm.solver
+
+        name = "compute_a_c_exact" if mode == "exact" else "compute_a_c_sampled"
+        wrapped = getattr(ucrbm.solver, name)
+        systems = []
+
+        def recording(*args, **kwargs):
+            systems.append(wrapped(*args, **kwargs))
+            return systems[-1]
+
+        monkeypatch.setattr(ucrbm.solver, name, recording)
+        cfg = IteConfig(mode=mode, n_steps=1, n_samples=200)
+        ite_run(random_init(3, 2, 0.3, 0, True), build_tfi(3, 0.5), cfg)
+        (system,) = systems
+        assert system.n_preparations == (0 if mode == "exact" else 200)
+
 
 class TestSrSystemValidation:
     def test_rejects_non_finite_a(self):
@@ -594,14 +730,14 @@ class TestSrSystemValidation:
         # A: it must be finite and Hermitian, as A must be finite and symmetric
         import ucrbm.estimators
 
-        covariance = ucrbm.estimators._covariance
+        moments = ucrbm.estimators._moments
 
-        def broken(x, wn):
-            s, xw = covariance(x, wn)
+        def broken(zmat, t, wn, g):
+            s, f = moments(zmat, t, wn, g)
             s[0, 1] += bad
-            return s, xw
+            return s, f
 
-        monkeypatch.setattr(ucrbm.estimators, "_covariance", broken)
+        monkeypatch.setattr(ucrbm.estimators, "_moments", broken)
         with pytest.raises(NumericalIntegrityError, match=message):
             compute_a_c_exact(random_init(2, 2, 0.1, 0, False), build_tfi(2, 0.5))
 
