@@ -2,14 +2,17 @@
 
 Kernel inputs are plain arrays; the wrapping modules own validation.
 
-``logpsi_batch`` gives the log-amplitudes of rows whose hidden angles
-theta = m + zW the caller computed (exact mode and vmc build their
-statevector from them).  ``local_energy_batch`` serves the ensemble mode,
+``logcosh_sum_tanh`` serves the dense pass of exact mode and vmc: from one
+expm1 per hidden angle it gives each row's sum of log cosh theta, for the
+amplitudes, and tanh theta, for the derivative moments.  ``logpsi_batch``
+gives the principal-branch log-amplitudes of rows whose hidden angles
+theta = m + zW the caller computed (``log_amplitude``, the public point
+evaluation).  ``local_energy_batch`` serves the ensemble mode,
 which has no statevector: it forms each amplitude ratio psi(z')/psi(z) from
 the flipped sites alone (the cached-angle update of Carleo & Troyer,
 Science 355, 602 (2017)); exact mode and vmc gather H psi from the full
 statevector instead.  It takes t = tanh(theta), which the caller computes
-once and feeds to the log-derivative columns too.
+once and feeds to the derivative moments too.
 
 The kernel has one lane, the unitary-coupled one (Re w = 0), because the
 ensemble mode takes unitary couplings only: the paper's protocol prepares
@@ -30,6 +33,7 @@ import numpy as np
 BACKEND = "numpy"
 
 _LOG_HALF = float(np.log(0.5))
+_TINY = np.finfo(np.float64).tiny  # smallest normal float
 
 
 def logcosh(x: np.ndarray) -> np.ndarray:
@@ -38,6 +42,37 @@ def logcosh(x: np.ndarray) -> np.ndarray:
     s = np.where(x.real >= 0.0, 1.0, -1.0)
     sx = s * x
     return sx + np.log(1.0 + np.exp(-2.0 * sx)) + _LOG_HALF
+
+
+def logcosh_sum_tanh(theta):
+    """(sum_j log cosh theta_j per row, tanh theta) of a (K, M) array of
+    hidden angles, both from one expm1 per angle.
+
+    With s = sign Re theta (+1 at +-0, as in ``logcosh``) and
+    g = exp(-s theta) cosh theta = 1 + expm1(-2 s theta) / 2,
+    log cosh theta = s theta + log g and tanh theta =
+    -s expm1(-2 s theta) / (2 g), to full relative precision at the
+    smallest angles (the exp form s (1 / g - 1) gives 0 for tanh 1e-300).
+    A row's sum therefore takes one log, of the product of its g, and its
+    imaginary part is defined only modulo 2 pi, which exp does not see.
+    |g| <= 1, so the product cannot overflow; a row whose product falls
+    below the smallest normal float (many angles near i pi/2) takes the
+    per-element sum instead.
+    """
+    s = np.where(theta.real >= 0.0, 1.0, -1.0)
+    x = theta * (-2.0 * s)
+    half = np.expm1(x)
+    half *= 0.5
+    g = half + 1.0
+    t = half / g
+    t *= -s
+    prod = g.prod(axis=1)
+    small = np.abs(prod) < _TINY
+    prod[small] = 1.0
+    total = np.log(prod) - 0.5 * x.sum(axis=1)
+    if small.any():
+        total[small] = logcosh(theta[small]).sum(axis=1)
+    return total, t
 
 
 def logpsi_batch(zmat, theta, b):

@@ -17,14 +17,15 @@ drawn serially from the caller's generator, so a seed fixes the result.
 
 Exact mode and vmc make one dense pass over the 2^N configurations
 (``exact_point``, which the solver also uses to try step sizes): one
-hidden-angle pass theta = m + zW gives the amplitudes psi (log cosh theta)
-and tanh theta for the derivative moments, and H psi comes from the
-``apply_h`` gather.  Exact mode weighs every configuration: e = conj(psi)
-H psi is p E_loc with no division, so no row of vanishing amplitude can
-enter as 0 * inf and none is dropped.  vmc draws basis indices from the
-pass's |psi|^2; its rows are the indices of positive summed weight, each
-with the local energy (H psi)(z)/psi(z) and tanh theta gathered from the
-pass.
+hidden-angle pass theta = m + zW and one expm1 per angle
+(``_kernels.logcosh_sum_tanh``) give both the amplitudes psi (sum log cosh
+theta, one log per row) and tanh theta for the derivative moments, and
+H psi comes from the ``apply_h`` gather.  Exact mode weighs every
+configuration: e = conj(psi) H psi is p E_loc with no division, so no row
+of vanishing amplitude can enter as 0 * inf and none is dropped.  vmc draws
+basis indices from the pass's |psi|^2; its rows are the indices of positive
+summed weight, each with the local energy (H psi)(z)/psi(z) and tanh theta
+gathered from the pass.
 
 The ensemble mode has no statevector and no 2^N cap, so it goes through
 ``_evaluate``, which works once per distinct configuration with positive
@@ -272,43 +273,51 @@ def _evaluate(params, h, zmat, wn):
 
 def _evaluate_dense(point, index, wn):
     """``_evaluate`` for samples drawn as basis indices of the dense pass
-    ``point`` (vmc): a row is a basis index with positive summed weight, its
-    local energy is (H psi)(z)/psi(z) and tanh theta is gathered from the
-    pass's theta.  The indices are Born-rule draws, so no row has zero
+    ``point`` (vmc): a row is a basis index with positive summed weight, and
+    its local energy (H psi)(z)/psi(z) and tanh theta are gathered from the
+    pass.  The indices are Born-rule draws, so no row has zero
     amplitude."""
     row_w = np.bincount(index, weights=wn, minlength=point.zmat.shape[0])
     rows = np.flatnonzero(row_w > 0.0)
     eloc_rows = point.hpsi[rows] / point.psi.amplitudes[rows]
     eloc = np.zeros(row_w.shape[0], dtype=np.complex128)
     eloc[rows] = eloc_rows
-    return point.zmat[rows], row_w[rows], np.tanh(point.theta[rows]), eloc_rows, eloc[index]
+    return point.zmat[rows], row_w[rows], point.t[rows], eloc_rows, eloc[index]
 
 
-def _energy_estimate(eloc_real, weights, weight_sum, mode, n_samples) -> Estimate:
-    mean = float(weights @ eloc_real / weight_sum)
+def _energy_estimate(eloc_real, r, r_sum, mode, n_samples) -> Estimate:
+    mean = float(r @ eloc_real / r_sum)
     # Ratio standard error of the self-normalized mean; for unit weights it
     # is sqrt((K - 1) / K) times the i.i.d. sqrt(var / K).
-    resid = weights * (eloc_real - mean)
-    se = float(np.sqrt(resid @ resid)) / weight_sum
+    resid = r * (eloc_real - mean)
+    se = float(np.sqrt(resid @ resid)) / r_sum
     return Estimate(mean, se, n_samples, mode)
 
 
-def _check_weights(weights) -> float:
-    weight_sum = float(weights.sum())
-    if weight_sum <= 0.0:
+def _check_weights(weights):
+    """The weights scaled by their largest, r = w / max w, and the sum of r,
+    after the effective-sample-size check.
+
+    Every estimate is a ratio and takes r in place of w, so no sum or
+    square of the weights under- or overflows, and weights scaled by a
+    power of two give the same estimate bitwise.  vmc's unit weights give
+    r == w.
+    """
+    w_max = float(weights.max())
+    if not w_max > 0.0:
         raise DegenerateWeightError(
             "all sample weights vanished; increase the number of samples"
         )
-    # Scaled by the largest weight, so that no square under- or overflows.
-    r = weights / weights.max()
-    ess = float(r.sum() ** 2 / (r @ r))
+    r = weights / w_max
+    r_sum = float(r.sum())
+    ess = r_sum**2 / float(r @ r)
     floor = MIN_ESS_FRACTION * weights.shape[0]
     if ess < floor:
         raise DegenerateWeightError(
             f"effective sample size {ess:.3g} of {weights.shape[0]} samples is below "
             f"{floor:.3g}; a few heavy weights carry the estimate"
         )
-    return weight_sum
+    return r, r_sum
 
 
 def _evaluate_samples(params, h, samples, weights, point):
@@ -316,14 +325,14 @@ def _evaluate_samples(params, h, samples, weights, point):
     batch, and its energy estimate.  The samples are basis indices drawn
     from the dense pass ``point`` (vmc), or protocol-run spins when
     ``point`` is None (ensemble)."""
-    weight_sum = _check_weights(weights)
-    wn = weights / weight_sum
+    r, r_sum = _check_weights(weights)
+    wn = r / r_sum
     if point is None:
         mode, evaluation = "ensemble", _evaluate(params, h, samples, wn)
     else:
         mode, evaluation = "vmc", _evaluate_dense(point, samples, wn)
     *per_row, eloc = evaluation
-    return per_row, _energy_estimate(eloc.real, weights, weight_sum, mode, samples.shape[0])
+    return per_row, _energy_estimate(eloc.real, r, r_sum, mode, samples.shape[0])
 
 
 def expectation_vmc(
@@ -517,12 +526,14 @@ def _assemble_system(params, h, samples, weights, point):
 @dataclass(frozen=True)
 class ExactPoint:
     """The dense pass of ``compute_a_c_exact`` and of vmc at ``params``: the
-    float rows of ``all_spin_configs``, their hidden angles theta, the
-    normalized psi, H psi, e = conj(psi) H psi and the energy E = sum e."""
+    float rows of ``all_spin_configs``, t = tanh of their hidden angles
+    theta, the normalized psi, H psi, e = conj(psi) H psi and the energy
+    E = sum e.  One expm1 per angle gives both psi and t
+    (``statevector_from_angles``)."""
 
     params: RbmParams
     zmat: np.ndarray
-    theta: np.ndarray
+    t: np.ndarray
     psi: StateVector
     hpsi: np.ndarray
     e: np.ndarray
@@ -535,11 +546,10 @@ def exact_point(params: RbmParams, h: PauliHamiltonian) -> ExactPoint:
     n = params.n_visible
     check_cap(n, STATEVECTOR_CAP)
     zmat = spin_rows(n)
-    theta = hidden_angles(params, zmat)
-    psi = statevector_from_angles(params, zmat, theta)
+    psi, t = statevector_from_angles(params, zmat, hidden_angles(params, zmat))
     hpsi = apply_h(h, psi)
     e = psi.amplitudes.conj() * hpsi
-    return ExactPoint(params, zmat, theta, psi, hpsi, e, complex(e.sum()))
+    return ExactPoint(params, zmat, t, psi, hpsi, e, complex(e.sum()))
 
 
 def compute_a_c_exact(
@@ -547,16 +557,16 @@ def compute_a_c_exact(
 ) -> SrSystem:
     """A and C with expectations taken over the exact statevector.
 
-    The dense pass (``exact_point``) gives psi and, from the same theta,
-    tanh theta.  With p = |psi|^2 and e = conj(psi) H psi = p E_loc, the
-    energy is E = sum e and F = sum conj(x) (e - p E) over the derivative
-    columns x (``_moments``).  A ``point`` already evaluated at this very
-    ``params`` object is reused.
+    The dense pass (``exact_point``) gives psi and, from the same expm1 of
+    each hidden angle, tanh theta.  With p = |psi|^2 and e = conj(psi) H psi
+    = p E_loc, the energy is E = sum e and F = sum conj(x) (e - p E) over
+    the derivative columns x (``_moments``).  A ``point`` already evaluated
+    at this very ``params`` object is reused.
     """
     if point is None or point.params is not params:
         point = exact_point(params, h)
     p = point.psi.probabilities()
-    s, f = _moments(point.zmat, np.tanh(point.theta), p, point.e - p * point.energy)
+    s, f = _moments(point.zmat, point.t, p, point.e - p * point.energy)
     estimate = Estimate(mean=point.energy.real, std_error=0.0, n_samples=0, mode="exact")
     return _slot_system(params, s, f, estimate, 0)
 

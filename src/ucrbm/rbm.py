@@ -258,14 +258,18 @@ def exact_statevector(params: RbmParams, cap: int = STATEVECTOR_CAP) -> StateVec
     n = params.n_visible
     check_cap(n, cap)
     zmat = spin_rows(n)
-    return statevector_from_angles(params, zmat, hidden_angles(params, zmat))
+    return statevector_from_angles(params, zmat, hidden_angles(params, zmat))[0]
 
 
 def statevector_from_angles(
     params: RbmParams, zmat: np.ndarray, theta: np.ndarray
-) -> StateVector:
+) -> tuple[StateVector, np.ndarray]:
     """``exact_statevector`` from the float rows of ``all_spin_configs`` and
-    their hidden angles, for callers that reuse those angles."""
-    lp = _kernels.logpsi_batch(zmat, theta, params.b)
+    their hidden angles, with tanh of those angles: one expm1 per angle
+    gives both (``_kernels.logcosh_sum_tanh``).  The one construction of the
+    dense statevector, so ``exact_statevector`` and the estimators' dense
+    pass agree bitwise."""
+    logcosh_sum, t = _kernels.logcosh_sum_tanh(theta)
+    lp = zmat @ params.b + logcosh_sum
     amps = np.exp(lp - lp.real.max())
-    return StateVector(params.n_visible, amps / np.linalg.norm(amps))
+    return StateVector(params.n_visible, amps / np.linalg.norm(amps)), t

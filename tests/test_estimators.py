@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from ucrbm.estimators import (
     _distinct_rows,
     _draw_samples,
     _evaluate,
+    _evaluate_samples,
     _moment_layout,
     _moments,
     _real_form,
@@ -450,6 +453,19 @@ class TestVmcDensePass:
         system = compute_a_c_sampled(p, h, 700, np.random.default_rng(11), mode="vmc")
         assert est == system.energy
 
+    def test_dense_pass_makes_no_tanh_call(self, monkeypatch):
+        # tanh theta comes from the amplitudes' expm1 (logcosh_sum_tanh)
+        def refused(*args, **kwargs):
+            raise AssertionError("np.tanh called")
+
+        p, h = random_init(4, 3, 0.4, 2, True), build_tfi(4, 0.5)
+        monkeypatch.setattr(np, "tanh", refused)
+        compute_a_c_exact(p, h)
+        compute_a_c_sampled(p, h, 300, np.random.default_rng(0), mode="vmc")
+        # the patch is live: the ensemble mode still calls np.tanh
+        with pytest.raises(AssertionError, match="np.tanh called"):
+            compute_a_c_sampled(p, h, 300, np.random.default_rng(0), mode="ensemble")
+
 
 def void_key_rows(zmat, wn):
     """``_distinct_rows`` by ``np.unique`` over the packed rows as void keys."""
@@ -664,7 +680,7 @@ class TestCheckWeights:
         # K = 50 batch of equal weights passes
         k = 4096
         floor = int(MIN_ESS_FRACTION * k)
-        assert _check_weights(np.r_[np.ones(floor), np.zeros(k - floor)]) == floor
+        assert _check_weights(np.r_[np.ones(floor), np.zeros(k - floor)])[1] == floor
         with pytest.raises(DegenerateWeightError, match="size 63 of 4096 samples"):
             _check_weights(np.r_[np.ones(floor - 1), np.zeros(k - floor + 1)])
 
@@ -672,7 +688,36 @@ class TestCheckWeights:
     def test_extreme_weight_scales_are_judged_by_their_spread(self, scale):
         # sum w^2 under- or overflows here; the ratio must not
         weights = scale * np.random.default_rng(0).random(4096)
-        assert _check_weights(weights) > 0.0
+        assert _check_weights(weights)[1] > 0.0
+
+    @pytest.mark.parametrize("entry", ["expectation", "system"])
+    @pytest.mark.parametrize("re_m0", [180.0, 354.0])
+    def test_weights_near_the_float_maximum_give_a_finite_estimate(self, re_m0, entry):
+        # the largest weight is about e^358 (180) or e^706 (354): its square,
+        # and at 354 the weight sum, overflow unless the weights are scaled
+        p = random_init(3, 2, 0.3, 0, True)
+        m = p.m.copy()
+        m[0] = re_m0 + 1j * m[0].imag
+        p = RbmParams(p.b, m, p.w, unitary_coupled=True)
+        h, rng = build_tfi(3, 0.5), np.random.default_rng(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if entry == "expectation":
+                est = expectation_ensemble(p, h, 4096, rng)
+            else:
+                est = compute_a_c_sampled(p, h, 4096, rng, mode="ensemble").energy
+        assert np.isfinite(est.mean) and np.isfinite(est.std_error) and est.std_error > 0.0
+
+    def test_power_of_two_scales_give_the_same_estimate_bitwise(self):
+        # the estimate reads the weights only through w / max w
+        p = random_init(4, 3, 0.3, 1, True)
+        h = build_tfi(4, 0.5)
+        zmat, weights = _draw_samples(p, 500, np.random.default_rng(2), "ensemble")
+        big = _evaluate_samples(p, h, zmat, weights * 2.0**900, None)
+        small = _evaluate_samples(p, h, zmat, weights * 2.0**-900, None)
+        assert big[1] == small[1]
+        for a, b in zip(big[0], small[0]):
+            assert np.array_equal(a, b)
 
 
 class TestBenchmarkHooks:
@@ -717,6 +762,44 @@ class TestBenchmarkHooks:
         ite_run(random_init(3, 2, 0.3, 0, True), build_tfi(3, 0.5), cfg)
         (system,) = systems
         assert system.n_preparations == (0 if mode == "exact" else 200)
+
+    def test_dense_passes_go_through_the_wrapped_entry_points(self, monkeypatch):
+        # perfbench/tracer.py is to time the dense pass by wrapping
+        # estimators.exact_point (vmc, and exact mode's step 0) and
+        # solver.exact_point (exact mode's trial passes) by name.  Every
+        # dense pass builds its statevector in statevector_from_angles.
+        import ucrbm.solver
+
+        calls = {}
+
+        def count(module, name):
+            wrapped = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                key = f"{module.__name__}.{name}"
+                calls[key] = calls.get(key, 0) + 1
+                return wrapped(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(ucrbm.estimators, "exact_point")
+        count(ucrbm.estimators, "statevector_from_angles")
+        count(ucrbm.solver, "exact_point")
+        p, h = random_init(3, 2, 0.3, 0, True), build_tfi(3, 0.5)
+        ite_run(p, h, IteConfig(mode="vmc", n_steps=1, n_samples=200))
+        assert calls == {
+            "ucrbm.estimators.exact_point": 1,
+            "ucrbm.estimators.statevector_from_angles": 1,
+        }
+        calls.clear()
+        _, trace = ite_run(p, h, IteConfig(mode="exact", n_steps=3))
+        trials = int(trace.trials.sum())
+        assert trials >= 3
+        assert calls == {
+            "ucrbm.estimators.exact_point": 1,
+            "ucrbm.solver.exact_point": trials,
+            "ucrbm.estimators.statevector_from_angles": 1 + trials,
+        }
 
 
 class TestSrSystemValidation:

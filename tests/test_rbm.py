@@ -155,7 +155,8 @@ class TestExactStatevector:
         p = random_init(4, 3, 0.4, 6, False)
         zmat = all_spin_configs(4).astype(np.float64)
         theta = hidden_angles(p, zmat)
-        lp = _kernels.logpsi_batch(zmat, theta, p.b)
+        logcosh_sum, t = _kernels.logcosh_sum_tanh(theta)
+        lp = zmat @ p.b + logcosh_sum
         two_pass = StateVector(4, np.exp(lp - lp.real.max())).normalized()
 
         checks = []
@@ -166,12 +167,28 @@ class TestExactStatevector:
             validate(self)
 
         monkeypatch.setattr(StateVector, "__post_init__", counted)
-        sv = statevector_from_angles(p, zmat, theta)
+        sv, sv_t = statevector_from_angles(p, zmat, theta)
         assert len(checks) == 1
         assert np.array_equal(sv.amplitudes, two_pass.amplitudes)
+        assert np.array_equal(sv_t, t)
         theta[3, 1] = np.nan
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
             statevector_from_angles(p, zmat, theta)
+
+    @pytest.mark.parametrize("scale", [0.1, 0.7, 1.5])
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("unitary", [True, False])
+    def test_dense_pass_builds_the_same_statevector(self, unitary, n, scale):
+        # exact_statevector and the estimators' dense pass share one
+        # construction, so expectation_exact reads the trace's psi bitwise;
+        # the oracle is the per-element principal-branch log-amplitude
+        p = random_init(n, n, scale, n, unitary)
+        sv = exact_statevector(p)
+        point = estimators.exact_point(p, hamiltonians.build_tfi(n, 0.5))
+        assert np.array_equal(sv.amplitudes, point.psi.amplitudes)
+        lp = log_amplitude_batch(p, all_spin_configs(n))
+        want = np.exp(lp - lp.real.max())
+        assert np.abs(sv.amplitudes - want / np.linalg.norm(want)).max() <= 1e-13
 
 
 class TestLogDerivatives:
