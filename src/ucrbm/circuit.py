@@ -11,19 +11,23 @@ requires unitary couplings (Re w = 0): unrestricted RBMs reach the protocol
 through the decoupling identities (``identities.rbm_to_unitary_coupled``).
 
 The ensemble estimators do not run this emulation: ``sample_protocol_batch``
-draws (s, z) from the factorized protocol law in O(K N M) work, with no
-statevector and no 2^N cap, and the branch table is the oracle that the
-sampler is tested against.
+draws (s, z) from the factorized protocol law with no statevector and no
+2^N cap, and the branch table is the oracle that the sampler is tested
+against.  Its phase work runs once per distinct readout: drawing, keying and
+reweighting K runs is O(K (N + M)) work and one sort, and one O(U N M)
+hidden-angle pass covers the U distinct readouts; the estimators reuse
+those angles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericalIntegrityError, ProtocolOrderError
-from .rbm import RbmParams, r_factor
+from .rbm import RbmParams, hidden_angles, r_factor
 from .spins import all_spin_configs
 from .statevector import HIDDEN_CAP, IDENTITY_HIDDEN_CAP, STATEVECTOR_CAP
 from .statevector import StateVector, check_cap
@@ -296,26 +300,65 @@ def verify_ensemble_identities(params: RbmParams) -> EnsembleIdentityReport:
 # batched sampling front-end used by the estimators
 
 
+class ProtocolBatch(NamedTuple):
+    """Protocol runs from ``sample_protocol_batch``, with their distinct
+    readouts and the hidden angles of those."""
+
+    s: np.ndarray  # (K, M) int8 hidden outcomes
+    z: np.ndarray  # (K, N) int8 readouts
+    weights: np.ndarray  # (K,) prod_j R_{s_j}(Re m_j)^2
+    rows: np.ndarray  # (U, N) int8 distinct readouts, rows[inverse] == z
+    inverse: np.ndarray  # (K,) row of each run
+    theta: np.ndarray  # (U, M) hidden angles m + zW of the rows
+
+
+def distinct_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a (K, N) spin batch and the row of each sample.
+
+    Each block of 64 sites is keyed by its down-spins read as an exact
+    big-endian uint64, so the rows come out in ``np.unique``'s order of
+    their packed bits.  One word is sorted by an unstable argsort (equal
+    keys are equal rows, so which of their samples leads does not matter),
+    more words by a lexsort with the first word primary.
+    """
+    k, n = z.shape
+    down = (z < 0).view(np.uint8)
+    bits = np.uint64(1) << np.arange(63, -1, -1, dtype=np.uint64)
+    keys = np.stack([down[:, i : i + 64] @ bits[64 - min(64, n - i) :] for i in range(0, n, 64)])
+    order = np.argsort(keys[0]) if keys.shape[0] == 1 else np.lexsort(keys[::-1])
+    ordered = keys[:, order]
+    starts = np.ones(k, dtype=bool)
+    starts[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    inverse = np.empty(k, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return z[order[starts]], inverse
+
+
 def sample_protocol_batch(
     params: RbmParams,
     n_runs: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> ProtocolBatch:
     """Draw n_runs protocol runs, one visible measurement each.
 
     Every hidden block is a phase gate diagonal in z, so the joint law of the
     outcome history s and the readout z factorizes:
     p(s, z) = |psi0(z)|^2 prod_j (cos^2 phi_j(z) if s_j = +1, else sin^2 phi_j(z)).
     Each z_i is drawn independently with P(z_i = +1) = (1 + tanh 2 Re b_i)/2,
-    then each s_j given z with P(s_j = +1) = cos^2 phi_j(z) - O(K N M) work
-    and no statevector, so there is no 2^N cap.  ``enumerate_branches``
-    emulates the gates and serves as the test oracle.
+    then each s_j given z with P(s_j = +1) = cos^2 phi_j(z), phi = Im theta.
+    The readouts are deduplicated first (``distinct_rows``), so the hidden
+    angles theta = m + zW and cos^2 phi are taken once per distinct readout:
+    O(K (N + M)) work and one sort, plus O(U N M) for the U distinct
+    readouts, and no statevector, so there is no 2^N cap.
+    ``enumerate_branches`` emulates the gates and serves as the test oracle.
 
-    Returns (outcomes (n_runs, M) int8, measured spins (n_runs, N) int8,
-    weights prod_j R_{s_j}(Re m_j)^2 (n_runs,)).  Parameters whose largest
-    weight, prod_j cosh^2 Re m_j, overflows a float are refused before any
-    draw: their weights would be inf and the normalized ones NaN.
+    Returns a ``ProtocolBatch``; its weights are prod_j R_{s_j}(Re m_j)^2.
+    A run count below 1, and parameters whose largest weight,
+    prod_j cosh^2 Re m_j, overflows a float are refused before any draw:
+    their weights would be inf and the normalized ones NaN.
     """
+    if n_runs < 1:
+        raise ValueError("need at least one protocol run")
     if not params.unitary_coupled:
         raise ValueError("batched protocol sampling requires unitary couplings")
     # log cosh a = logaddexp(a, -a) - log 2 stays finite where cosh^2 overflows
@@ -327,11 +370,15 @@ def sample_protocol_batch(
             "overflows a float"
         )
     p_up = 0.5 * (1.0 + np.tanh(2.0 * params.b.real))
-    zmat = np.where(rng.random((n_runs, params.n_visible)) < p_up, np.int8(1), np.int8(-1))
-    phi = params.m.imag[None, :] + zmat.astype(np.float64) @ params.w.imag
-    s_out = np.where(rng.random(phi.shape) < np.cos(phi) ** 2, np.int8(1), np.int8(-1))
-    r_vals = np.where(
-        s_out == 1, np.cosh(params.m.real)[None, :], np.sinh(params.m.real)[None, :]
-    )
-    weights = np.prod(r_vals**2, axis=1)
-    return s_out, zmat, weights
+    z = 1 - 2 * (rng.random((n_runs, params.n_visible)) >= p_up).view(np.int8)
+    rows, inverse = distinct_rows(z)
+    theta = hidden_angles(params, rows.astype(np.float64))
+    p_plus = np.take(np.cos(theta.imag) ** 2, inverse, axis=0)
+    up = rng.random(p_plus.shape) < p_plus
+    # R_{s_j}(Re m_j)^2 from the pairs (sinh^2, cosh^2) at 2j + [s_j = +1]
+    r_sq = np.stack([np.sinh(a) ** 2, np.cosh(a) ** 2], axis=1).ravel()
+    r_sq = np.take(r_sq, up.view(np.uint8) + 2 * np.arange(params.n_hidden))
+    weights = np.ones(n_runs)
+    for j in range(params.n_hidden):
+        weights *= r_sq[:, j]
+    return ProtocolBatch(2 * up.view(np.int8) - 1, z, weights, rows, inverse, theta)

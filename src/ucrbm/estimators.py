@@ -29,10 +29,12 @@ gathered from the pass.
 
 The ensemble mode has no statevector and no 2^N cap, so it goes through
 ``_evaluate``, which works once per distinct configuration with positive
-weight: rows are keyed by their packed bits, read as integer words, and
-their weights summed, rows of weight 0 are dropped, and one tanh(theta)
-pass per row feeds both the flipped-site local-energy kernel and the
-derivative moments.  The kernel has only the unitary-coupled lane, so
+weight.  The sampler has already keyed the runs' readouts into distinct
+rows and taken their hidden angles theta = m + zW, one pass that also gave
+the hidden outcomes' probabilities (``circuit.sample_protocol_batch``);
+``_evaluate`` sums the weights per row, drops rows of weight 0, and one
+tanh(theta) of the rest feeds both the flipped-site local-energy kernel and
+the derivative moments.  The kernel has only the unitary-coupled lane, so
 ``_evaluate`` refuses unrestricted parameters.  In both sampled modes
 means, standard errors and preparation counts stay per sample, with local
 energies gathered back through the map from samples to rows.
@@ -72,7 +74,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .circuit import measure_indices, sample_protocol_batch
+from .circuit import ProtocolBatch, measure_indices, sample_protocol_batch
 from .errors import DegenerateWeightError, NumericalIntegrityError
 from .hamiltonians import PauliHamiltonian, apply_h, connected_states, connected_structure
 from .rbm import (
@@ -186,7 +188,7 @@ def expectation_exact(
     """<Psi|H|Psi> by dense statevector and matrix-free application.  ``cap``
     is the one size-cap override: the only exact oracle past STATEVECTOR_CAP."""
     psi = exact_statevector(params, cap)
-    value = complex(np.vdot(psi.amplitudes, apply_h(h, psi)))
+    value = complex((psi.amplitudes.conj() * apply_h(h, psi)).sum())
     if not np.isfinite(value) or abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
         raise NumericalIntegrityError(
             f"non-finite value or imaginary residue in {value!r} for a Hermitian observable"
@@ -201,40 +203,16 @@ def expectation_exact(
 def _draw_samples(params, n_samples, rng, mode, point=None):
     """(samples, weights) of ``n_samples`` samples drawn from ``rng``: for
     vmc the basis indices of Born-rule draws from the dense pass ``point``
-    at ``params``, for the ensemble mode the spins of reweighted protocol
-    runs."""
+    at ``params``, for the ensemble mode the ``ProtocolBatch`` of reweighted
+    protocol runs."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if mode == "vmc":
         return measure_indices(point.psi, n_samples, rng), np.ones(n_samples)
     if mode == "ensemble":
-        _, zmat, weights = sample_protocol_batch(params, n_samples, rng)
-        return zmat, weights
+        batch = sample_protocol_batch(params, n_samples, rng)
+        return batch, batch.weights
     raise ValueError(f"unknown sampling mode {mode!r}")
-
-
-def _distinct_rows(zmat, wn):
-    """Distinct rows of a sampled (K, N) spin batch, keyed by their packed
-    bits (any N), with the summed normalized weight of each and the map
-    from samples to rows.
-
-    The packed bits are padded to whole 8-byte words and read as big-endian
-    integers, so sorting them with the first word as the primary key gives
-    ``np.unique``'s bytewise order of the rows, and the stable sort keeps
-    the first sample of each row in front.
-    """
-    bits = np.packbits(zmat < 0, axis=1)
-    k, n_bytes = bits.shape
-    padded = np.zeros((k, -(-n_bytes // 8) * 8), dtype=np.uint8)
-    padded[:, :n_bytes] = bits
-    keys = padded.view(">u8").astype(np.uint64)
-    order = np.lexsort(keys.T[::-1])
-    ordered = keys[order]
-    starts = np.ones(k, dtype=bool)
-    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(k, dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return zmat[order[starts]], np.bincount(inverse, weights=wn), inverse
 
 
 def _local_energies(params, h, rows, t) -> np.ndarray:
@@ -246,12 +224,12 @@ def _local_energies(params, h, rows, t) -> np.ndarray:
     )
 
 
-def _evaluate(params, h, zmat, wn):
-    """Evaluate each distinct configuration of a spin batch (the ensemble
-    mode's protocol runs) with positive weight once, with no statevector:
-    one tanh theta pass on those rows feeds the flipped-site local-energy
-    kernel.  Unrestricted ``params`` are refused before any row work: the
-    kernel reads no Re w.
+def _evaluate(params, h, batch: ProtocolBatch, wn):
+    """Evaluate each distinct readout of a protocol batch (the ensemble
+    mode's runs) with positive weight once, with no statevector: tanh of
+    the angles the sampler took for those rows feeds the flipped-site
+    local-energy kernel.  Unrestricted ``params`` are refused before any
+    row work: the kernel reads no Re w.
 
     Returns those rows (float), their summed normalized weights, tanh of
     their hidden angles, their local energies, and the local energy of every
@@ -259,16 +237,16 @@ def _evaluate(params, h, zmat, wn):
     """
     if not params.unitary_coupled:
         raise ValueError("the ensemble mode requires unitary couplings")
-    rows, row_w, inverse = _distinct_rows(zmat, wn)
+    row_w = np.bincount(batch.inverse, weights=wn, minlength=batch.rows.shape[0])
     # Rows of weight 0 carry nothing and are dropped; a row of vanishing
     # amplitude could overflow its ratios (0 * inf).
     keep = row_w > 0.0
-    rows = np.ascontiguousarray(rows[keep], dtype=np.float64)
-    t = np.tanh(hidden_angles(params, rows))
+    rows = batch.rows[keep].astype(np.float64)
+    t = np.tanh(batch.theta[keep])
     eloc_rows = _local_energies(params, h, rows, t)
     eloc = np.zeros(keep.shape[0], dtype=np.complex128)
     eloc[keep] = eloc_rows
-    return rows, row_w[keep], t, eloc_rows, eloc[inverse]
+    return rows, row_w[keep], t, eloc_rows, eloc[batch.inverse]
 
 
 def _evaluate_dense(point, index, wn):
@@ -323,7 +301,7 @@ def _check_weights(weights):
 def _evaluate_samples(params, h, samples, weights, point):
     """The rows, row weights, tanh theta and row local energies of a sample
     batch, and its energy estimate.  The samples are basis indices drawn
-    from the dense pass ``point`` (vmc), or protocol-run spins when
+    from the dense pass ``point`` (vmc), or a ``ProtocolBatch`` when
     ``point`` is None (ensemble)."""
     r, r_sum = _check_weights(weights)
     wn = r / r_sum
@@ -332,7 +310,7 @@ def _evaluate_samples(params, h, samples, weights, point):
     else:
         mode, evaluation = "vmc", _evaluate_dense(point, samples, wn)
     *per_row, eloc = evaluation
-    return per_row, _energy_estimate(eloc.real, r, r_sum, mode, samples.shape[0])
+    return per_row, _energy_estimate(eloc.real, r, r_sum, mode, weights.shape[0])
 
 
 def expectation_vmc(
@@ -355,8 +333,8 @@ def expectation_ensemble(
 ) -> Estimate:
     """Self-normalized estimator over protocol runs: the weighted mean of
     local observables with weights prod_j R^2_{s_j}, ratio standard error."""
-    zmat, weights = _draw_samples(params, n_samples, rng, "ensemble")
-    return _evaluate_samples(params, h, zmat, weights, None)[1]
+    batch, weights = _draw_samples(params, n_samples, rng, "ensemble")
+    return _evaluate_samples(params, h, batch, weights, None)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +498,7 @@ def _assemble_system(params, h, samples, weights, point):
     (rows, row_w, t, eloc_rows), energy = _evaluate_samples(params, h, samples, weights, point)
     g = row_w * (eloc_rows - complex(row_w @ eloc_rows))
     s, f = _moments(rows, t, row_w, g)
-    return _slot_system(params, s, f, energy, samples.shape[0])
+    return _slot_system(params, s, f, energy, weights.shape[0])
 
 
 @dataclass(frozen=True)

@@ -129,33 +129,31 @@ class TestBatchSamplerLaw:
             law = table.branch_probs[:, None] * np.stack(
                 [state.probabilities() for state in table.states]
             )
-            smat, zmat, weights = sample_protocol_batch(
-                p, n_runs, np.random.default_rng(seed)
-            )
-            s_idx = (smat == -1) @ pow2
-            counts = np.bincount(8 * s_idx + (zmat == -1) @ pow2, minlength=64)
+            batch = sample_protocol_batch(p, n_runs, np.random.default_rng(seed))
+            s_idx = (batch.s == -1) @ pow2
+            counts = np.bincount(8 * s_idx + (batch.z == -1) @ pow2, minlength=64)
             expected = law.ravel() * n_runs
             small = expected < 5
             exp_cells = np.append(expected[~small], expected[small].sum())
             obs_cells = np.append(counts[~small], counts[small].sum())
             chi2 = float(np.sum((obs_cells - exp_cells) ** 2 / exp_cells))
             assert chi2 < scipy.stats.chi2.ppf(0.999, df=exp_cells.shape[0] - 1)
-            np.testing.assert_allclose(weights, table.weights[s_idx], rtol=1e-12)
+            np.testing.assert_allclose(batch.weights, table.weights[s_idx], rtol=1e-12)
 
     def test_no_hidden_units(self):
         p = random_init(3, 0, 0.5, 4, True)
-        smat, zmat, weights = sample_protocol_batch(p, 50, np.random.default_rng(0))
-        assert smat.shape == (50, 0) and smat.dtype == np.int8
-        assert zmat.shape == (50, 3) and zmat.dtype == np.int8
-        assert np.all(np.abs(zmat) == 1)
-        assert np.all(weights == 1.0)
+        batch = sample_protocol_batch(p, 50, np.random.default_rng(0))
+        assert batch.s.shape == (50, 0) and batch.s.dtype == np.int8
+        assert batch.z.shape == (50, 3) and batch.z.dtype == np.int8
+        assert np.all(np.abs(batch.z) == 1)
+        assert np.all(batch.weights == 1.0)
 
     def test_batch_sampler_frequencies_match_branch_table(self):
         # empirical outcome-history frequencies against enumerated probabilities
         p = random_init(2, 2, 0.5, 11, True)
         table = enumerate_branches(p)
         n_runs = 100_000
-        smat, _, _ = sample_protocol_batch(p, n_runs, np.random.default_rng(17))
+        smat = sample_protocol_batch(p, n_runs, np.random.default_rng(17)).s
         keys = (smat == -1) @ np.array([2, 1])
         counts = np.bincount(keys, minlength=4)
         table_keys = (table.s == -1) @ np.array([2, 1])
@@ -163,6 +161,52 @@ class TestBatchSamplerLaw:
             prob = table.branch_probs[row]
             sigma = np.sqrt(max(prob * (1 - prob), 1e-12) / n_runs)
             assert abs(counts[key] / n_runs - prob) < 4 * sigma + 1e-4
+
+
+    @pytest.mark.parametrize("n_runs", [0, -1])
+    def test_bad_run_count_is_refused_before_drawing(self, n_runs):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="at least one protocol run"):
+            sample_protocol_batch(random_init(3, 2, 0.5, 0, True), n_runs, rng)
+        assert rng.bit_generator.state == state
+
+
+class TestBatchSamplerDraw:
+    # The sampler keys its readouts into distinct rows and takes their
+    # hidden angles once; these pin that bookkeeping to the per-sample law.
+
+    @pytest.mark.parametrize("n, m, seed", [(3, 2, 0), (8, 8, 1), (70, 3, 2)])
+    def test_rows_and_inverse_reproduce_the_readouts(self, n, m, seed):
+        p = random_init(n, m, 0.5, seed, True)
+        batch = sample_protocol_batch(p, 500, np.random.default_rng(seed))
+        assert batch.rows.dtype == np.int8
+        assert np.array_equal(batch.rows[batch.inverse], batch.z)
+        # strictly ascending big-endian keys of the down-spins, so distinct
+        packed = np.packbits(batch.rows < 0, axis=1)
+        keys = [bytes(row) for row in packed]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        np.testing.assert_array_equal(
+            batch.theta, p.m[None, :] + batch.rows.astype(np.float64) @ p.w
+        )
+
+    @pytest.mark.parametrize("n, m, seed", [(3, 2, 0), (8, 8, 1), (10, 4, 2)])
+    def test_outcomes_match_a_per_sample_reference(self, n, m, seed):
+        # the same generator calls, with phi and cos^2 phi taken per sample
+        p = random_init(n, m, 0.7, seed, True)
+        batch = sample_protocol_batch(p, 400, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        p_up = 0.5 * (1.0 + np.tanh(2.0 * p.b.real))
+        u_z = rng.random((400, n))
+        u_s = rng.random((400, m))
+        z = np.where(u_z < p_up, 1, -1)
+        assert np.array_equal(batch.z, z)
+        for k in range(400):
+            phi = p.m.imag + z[k].astype(np.float64) @ p.w.imag
+            s = np.where(np.cos(phi) ** 2 > u_s[k], 1, -1)
+            assert np.array_equal(batch.s[k], s)
+            r = np.where(s == 1, np.cosh(p.m.real), np.sinh(p.m.real))
+            assert batch.weights[k] == pytest.approx(np.prod(r**2), rel=1e-14)
 
 
 class TestEnumerateBranches:

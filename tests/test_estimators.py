@@ -6,7 +6,12 @@ import pytest
 from conftest import dense_from_terms, random_pauli_hamiltonian
 
 import ucrbm.estimators
-from ucrbm.circuit import enumerate_branches, measure_visible, sample_protocol_batch
+from ucrbm.circuit import (
+    distinct_rows,
+    enumerate_branches,
+    measure_visible,
+    sample_protocol_batch,
+)
 from ucrbm.errors import DegenerateWeightError, NumericalIntegrityError, SizeCapError
 from ucrbm.estimators import (
     C_SIGN,
@@ -15,7 +20,6 @@ from ucrbm.estimators import (
     SrSystem,
     _assemble_system,
     _check_weights,
-    _distinct_rows,
     _draw_samples,
     _evaluate,
     _evaluate_samples,
@@ -99,6 +103,16 @@ class TestExpectationExact:
             psi = exact_statevector(p)
             expected = np.vdot(psi.amplitudes, dense_from_terms(h.terms, 4) @ psi.amplitudes)
             assert expectation_exact(p, h).mean == pytest.approx(expected.real, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [4, 6, 8, 10])
+    @pytest.mark.parametrize("unitary", [True, False])
+    def test_same_sum_as_the_dense_pass(self, n, unitary):
+        # both read the same psi and sum conj(psi) H psi the same way, so the
+        # exact energy of a trace and of expectation_exact agree bitwise
+        h = build_tfi(n, 0.5)
+        for seed in range(3):
+            p = random_init(n, n, 0.5, seed, unitary)
+            assert expectation_exact(p, h).mean == exact_point(p, h).energy.real
 
     def test_estimate_fields(self):
         est = expectation_exact(zero_params(2, 0), build_tfi(2, 1.0))
@@ -217,7 +231,7 @@ class TestExpectationEnsemble:
         # a handful of runs carry weight: not all weights vanished, but the
         # effective sample size is far below MIN_ESS_FRACTION of the batch
         p, h = self.rarely_accepted_params(), build_tfi(8, 0.5)
-        _, _, weights = sample_protocol_batch(p, 4096, np.random.default_rng(seed))
+        weights = sample_protocol_batch(p, 4096, np.random.default_rng(seed)).weights
         assert 0 < weights.sum() < MIN_ESS_FRACTION * 4096
         with pytest.raises(DegenerateWeightError, match="effective sample size"):
             expectation_ensemble(p, h, 4096, np.random.default_rng(seed))
@@ -232,11 +246,12 @@ class TestExpectationEnsemble:
     def test_row_evaluation_refuses_unrestricted_couplings(self):
         # the flipped-site kernel reads no Re w: unrestricted parameters
         # would get wrong local energies, so _evaluate refuses them
+        batch = sample_protocol_batch(
+            random_init(2, 2, 0.3, 0, True), 50, np.random.default_rng(0)
+        )
         p = random_init(2, 2, 0.3, 0, False)
-        zmat = all_spin_configs(2)
-        wn = np.full(zmat.shape[0], 1.0 / zmat.shape[0])
         with pytest.raises(ValueError, match="the ensemble mode requires unitary"):
-            _evaluate(p, build_tfi(2, 1.0), zmat, wn)
+            _evaluate(p, build_tfi(2, 1.0), batch, np.full(50, 1.0 / 50))
 
     def test_runs_past_the_statevector_cap(self):
         # the factorized sampler holds no statevector: N = 16 runs although
@@ -278,7 +293,7 @@ class TestExpectationEnsemble:
         m = p.m.copy()
         m[0] = 350.0 + 1j * m[0].imag
         p = RbmParams(p.b, m, p.w, unitary_coupled=True)
-        _, _, weights = sample_protocol_batch(p, 100, np.random.default_rng(0))
+        weights = sample_protocol_batch(p, 100, np.random.default_rng(0)).weights
         assert np.all(np.isfinite(weights)) and weights.max() > 1e300
 
 
@@ -404,11 +419,15 @@ class TestComputeAcSampled:
             original = compute_a_c_sampled(p, h, 600, np.random.default_rng(3), mode=mode)
             point = exact_point(p, h) if mode == "vmc" else None
             samples, weights = _draw_samples(p, 600, np.random.default_rng(3), mode, point)
-            split = rng.choice(samples.shape[0], size=100, replace=False)
+            split = rng.choice(weights.shape[0], size=100, replace=False)
             weights[split] *= 0.5
-            rows = np.concatenate([np.arange(samples.shape[0]), split])
+            rows = np.concatenate([np.arange(weights.shape[0]), split])
             rows = rng.permutation(rows)
-            replayed = _assemble_system(p, h, samples[rows], weights[rows], point)
+            if mode == "ensemble":  # the runs reach their rows through inverse
+                replay = samples._replace(inverse=samples.inverse[rows])
+            else:
+                replay = samples[rows]
+            replayed = _assemble_system(p, h, replay, weights[rows], point)
             np.testing.assert_allclose(replayed.a, original.a, rtol=0, atol=1e-12)
             np.testing.assert_allclose(replayed.c, original.c, rtol=0, atol=1e-12)
             assert replayed.energy.mean == pytest.approx(original.energy.mean, abs=1e-12)
@@ -467,15 +486,18 @@ class TestVmcDensePass:
             compute_a_c_sampled(p, h, 300, np.random.default_rng(0), mode="ensemble")
 
 
-def void_key_rows(zmat, wn):
-    """``_distinct_rows`` by ``np.unique`` over the packed rows as void keys."""
+def void_key_rows(zmat):
+    """``distinct_rows`` by ``np.unique`` over the packed rows as void keys."""
     keys = np.packbits(zmat < 0, axis=1)
     keys = keys.view(np.dtype((np.void, keys.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return zmat[first], np.bincount(inverse, weights=wn), inverse
+    return zmat[first], inverse
 
 
 class TestDistinctRows:
+    # circuit.distinct_rows keys the sampler's readouts, one uint64 word per
+    # 64 sites, so N = 64 and past it take the multi-word lexsort.
+
     @pytest.mark.parametrize("n", [1, 8, 9, 64, 65, 70])
     def test_matches_void_key_unique_bitwise(self, n):
         rng = np.random.default_rng(n)
@@ -485,10 +507,7 @@ class TestDistinctRows:
             base[site % 40] = base[39]
             base[site % 40, site] *= -1
         zmat = base[rng.integers(0, 40, size=300)]  # duplicated, shuffled
-        wn = rng.random(300)
-        wn[rng.random(300) < 0.2] = 0.0
-        wn /= wn.sum()
-        got, want = _distinct_rows(zmat, wn), void_key_rows(zmat, wn)
+        got, want = distinct_rows(zmat), void_key_rows(zmat)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()
@@ -712,9 +731,9 @@ class TestCheckWeights:
         # the estimate reads the weights only through w / max w
         p = random_init(4, 3, 0.3, 1, True)
         h = build_tfi(4, 0.5)
-        zmat, weights = _draw_samples(p, 500, np.random.default_rng(2), "ensemble")
-        big = _evaluate_samples(p, h, zmat, weights * 2.0**900, None)
-        small = _evaluate_samples(p, h, zmat, weights * 2.0**-900, None)
+        batch, weights = _draw_samples(p, 500, np.random.default_rng(2), "ensemble")
+        big = _evaluate_samples(p, h, batch, weights * 2.0**900, None)
+        small = _evaluate_samples(p, h, batch, weights * 2.0**-900, None)
         assert big[1] == small[1]
         for a, b in zip(big[0], small[0]):
             assert np.array_equal(a, b)
@@ -762,6 +781,28 @@ class TestBenchmarkHooks:
         ite_run(random_init(3, 2, 0.3, 0, True), build_tfi(3, 0.5), cfg)
         (system,) = systems
         assert system.n_preparations == (0 if mode == "exact" else 200)
+
+    def test_one_hidden_angle_pass_per_ensemble_step(self, monkeypatch):
+        # the sampler takes theta once over the distinct readouts, and
+        # _evaluate reads tanh theta from it: no second angle pass
+        import ucrbm.circuit
+
+        calls = {}
+
+        def count(module):
+            wrapped = module.hidden_angles
+
+            def counted(*args, **kwargs):
+                calls[module.__name__] = calls.get(module.__name__, 0) + 1
+                return wrapped(*args, **kwargs)
+
+            monkeypatch.setattr(module, "hidden_angles", counted)
+
+        count(ucrbm.circuit)
+        count(ucrbm.estimators)
+        p, h = random_init(4, 3, 0.3, 0, True), build_tfi(4, 0.5)
+        ite_run(p, h, IteConfig(mode="ensemble", n_steps=1, n_samples=300))
+        assert calls == {"ucrbm.circuit": 1}
 
     def test_dense_passes_go_through_the_wrapped_entry_points(self, monkeypatch):
         # perfbench/tracer.py is to time the dense pass by wrapping
