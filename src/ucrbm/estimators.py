@@ -58,17 +58,17 @@ multiply-adds a row, against about 4 D^2 = 57.6k for the (U, D) complex
 covariance.  Raw moments minus the squared mean lose a column's variance
 to cancellation where its mean is near unit modulus (a near-basis state):
 S is then exact to about eps |E x|^2 absolute, far below the solver's
-regularization.  For
-unrestricted parameters every column has both a Re and an Im slot, A is the
-real form of the D x D covariance S, and the system is handed to the solver
-in that half-size complex form; A and C are built only when read (see
-``SrSystem``).
+regularization.  For unrestricted parameters every column has both a Re and
+an Im slot, A is the real form of the D x D covariance S, and the solver
+takes the system in that half-size complex form; A and C are gathered once,
+on first read.  Every ``SrSystem`` is checked once, when it is built: finite
+and Hermitian, else ``NumericalIntegrityError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -117,56 +117,61 @@ class Estimate:
             raise ValueError("sampled estimates need at least one sample")
 
 
+@dataclass(frozen=True, eq=False)
 class SrSystem:
-    """Stochastic-reconfiguration system: A delta-theta = C at one point.
+    """Stochastic-reconfiguration system at one point: the solver solves
+    ``matrix`` u = ``rhs``, and ``energy`` is the estimate taken with it.
 
-    The solver works on ``matrix`` and ``rhs``.  For a system built from A
-    and C these are A and C, and ``slots`` is None.  For unrestricted
-    parameters the estimators build the half-size form instead: every
-    distinct derivative column x has both a Re and an Im slot, so A is the
-    real form of the complex D x D covariance S of x, permuted to slot
-    order.  ``matrix`` is then S, ``rhs`` is C_SIGN F, and ``slots`` maps
-    each slot into [Re u, Im u] for the solution u of the complex system
-    (``to_slots``).  A and C are built from them on first access.
+    Without a ``layout`` these are A and C.  For unrestricted parameters
+    they are the half-size form: every distinct derivative column x has a
+    Re and an Im slot, so A is the real form of the complex D x D
+    covariance S of x in slot order, ``matrix`` is S, ``rhs`` is C_SIGN F,
+    and ``layout`` maps each slot into [Re u, Im u] (``to_slots``); A and C
+    are gathered on first access.  The system is checked once, here:
+    ``matrix`` and ``rhs`` finite and ``matrix`` Hermitian, as A is finite
+    and symmetric exactly when S is finite and Hermitian.
+    ``n_preparations`` is the energy's sample count (0 in exact mode).
     """
 
-    def __init__(self, a, c, energy: Estimate, n_preparations: int = 0):
-        if a.shape != (c.shape[0], c.shape[0]):
-            raise ValueError("A/C dimensions are inconsistent")
-        # A is finite and symmetric exactly when S is finite and Hermitian.
-        if not np.all(np.isfinite(a)):
-            raise NumericalIntegrityError("A has non-finite entries")
-        asym = float(np.max(np.abs(a - a.T.conj()), initial=0.0))
-        if asym > 1e-10:
-            raise NumericalIntegrityError(f"A is asymmetric by {asym:.3e}")
-        self.matrix, self.rhs, self.slots, self._layout = a, c, None, None
-        self._a, self._c = a, c
-        self.energy, self.n_preparations = energy, n_preparations
+    matrix: np.ndarray
+    rhs: np.ndarray
+    energy: Estimate
+    layout: _SlotLayout | None = None
 
-    @classmethod
-    def _half_size(cls, s, g, layout, energy, n_preparations) -> "SrSystem":
-        system = cls(s, g, energy, n_preparations)
-        system.slots, system._layout = layout.slots, layout
-        system._a = system._c = None
-        return system
+    def __post_init__(self):
+        mat, rhs = self.matrix, self.rhs
+        if mat.shape != (rhs.shape[0], rhs.shape[0]):
+            raise ValueError("SR matrix and right-hand side dimensions are inconsistent")
+        for name, arr in (("matrix", mat), ("right-hand side", rhs)):
+            if not np.all(np.isfinite(arr)):
+                raise NumericalIntegrityError(f"SR {name} has non-finite entries")
+        asym = float(np.max(np.abs(mat - mat.T.conj()), initial=0.0))
+        if asym > 1e-10:
+            raise NumericalIntegrityError(f"SR matrix is asymmetric by {asym:.3e}")
+
+    @property
+    def n_preparations(self) -> int:
+        return self.energy.n_samples
+
+    @cached_property
+    def _a_c(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.layout is None:
+            return self.matrix, self.rhs
+        return _real_form(self.matrix, self.rhs, self.layout)
 
     @property
     def a(self) -> np.ndarray:
-        if self._a is None:
-            self._a, self._c = _real_form(self.matrix, self.rhs, self._layout)
-        return self._a
+        return self._a_c[0]
 
     @property
     def c(self) -> np.ndarray:
-        if self._c is None:
-            self._a, self._c = _real_form(self.matrix, self.rhs, self._layout)
-        return self._c
+        return self._a_c[1]
 
     def to_slots(self, u: np.ndarray) -> np.ndarray:
         """The real slot vector of a solution u of the solver's system."""
-        if self.slots is None:
+        if self.layout is None:
             return u
-        return np.concatenate([u.real, u.imag])[self.slots]
+        return np.concatenate([u.real, u.imag])[self.layout.slots]
 
 
 def local_observable(params: RbmParams, z, h: PauliHamiltonian) -> complex:
@@ -482,23 +487,22 @@ def _real_form(s, g, layout: _SlotLayout):
     return a, g_floats[layout.c_index]
 
 
-def _slot_system(params, s, f, energy, n_preparations) -> SrSystem:
+def _slot_system(params, s, f, energy) -> SrSystem:
     layout = _slot_layout(params.n_visible, params.n_hidden, params.unitary_coupled)
     g = C_SIGN * f
     # Unrestricted slots pair every distinct column, so A is the real form
     # of S and the solver takes the half-size complex system.  The
     # unitary-coupled slots lack Re w, and A is no real form.
     if not params.unitary_coupled:
-        return SrSystem._half_size(s, g, layout, energy, n_preparations)
-    a, c = _real_form(s, g, layout)
-    return SrSystem(a=a, c=c, energy=energy, n_preparations=n_preparations)
+        return SrSystem(s, g, energy, layout)
+    return SrSystem(*_real_form(s, g, layout), energy)
 
 
 def _assemble_system(params, h, samples, weights, point):
     (rows, row_w, t, eloc_rows), energy = _evaluate_samples(params, h, samples, weights, point)
     g = row_w * (eloc_rows - complex(row_w @ eloc_rows))
     s, f = _moments(rows, t, row_w, g)
-    return _slot_system(params, s, f, energy, weights.shape[0])
+    return _slot_system(params, s, f, energy)
 
 
 @dataclass(frozen=True)
@@ -546,7 +550,7 @@ def compute_a_c_exact(
     p = point.psi.probabilities()
     s, f = _moments(point.zmat, point.t, p, point.e - p * point.energy)
     estimate = Estimate(mean=point.energy.real, std_error=0.0, n_samples=0, mode="exact")
-    return _slot_system(params, s, f, estimate, 0)
+    return _slot_system(params, s, f, estimate)
 
 
 def compute_a_c_sampled(

@@ -315,6 +315,8 @@ def parse_pauli_text(text: str) -> PauliHamiltonian:
                     f"line {lineno}: coefficient {coeff_tok!r} is not real"
                 ) from None
             coeff = cval.real
+        if not np.isfinite(coeff):
+            raise PauliFileError(f"non-finite coefficient {coeff_tok!r}", lineno)
         if any(c not in PAULI_CHARS for c in word):
             raise PauliFileError(f"bad Pauli word {word!r}", lineno)
         if width is None:

@@ -82,6 +82,12 @@ class IteConfig:
             raise ValueError("regularization must be non-negative")
         if self.n_steps < 1:
             raise ValueError("need at least one step")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if self.mean_field_steps < 1:
+            raise ValueError("mean_field_steps must be at least 1")
         if self.convergence_window < 1:
             raise ValueError("convergence_window must be at least 1")
         # "not >= 0" also refuses NaN, which compares False like a negative
@@ -149,11 +155,10 @@ def sr_update(
     spectrum, truncation and residual norm.  ``evals`` are the ascending
     eigenvalues of ``system.matrix`` (``eigvalsh``), computed here when not
     given; the shifted matrix counts as positive definite when
-    ``evals[0] + lam > 0``.  Returns (delta_theta, solve residual).
+    ``evals[0] + lam > 0``.  The system was checked finite and Hermitian
+    when it was built.  Returns (delta_theta, solve residual).
     """
     mat, rhs = system.matrix, system.rhs
-    if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(rhs))):
-        raise ValueError("non-finite stochastic-reconfiguration system")
     if evals is None:
         evals = np.linalg.eigvalsh(mat)
     shifted = mat + lam * np.eye(mat.shape[0])
@@ -212,10 +217,7 @@ def ite_run(
     exact = cfg.mode == "exact"
     tau, dt, point = 0.0, cfg.dtau, None
 
-    records = {key: [] for key in (
-        "step", "tau", "energy", "std_error", "theta", "min_eig", "max_eig", "residual",
-        "trials",
-    )}
+    rows = []  # one tuple per step, in IteTrace field order
     for step in range(cfg.n_steps):
         system = _build_system(params, h, cfg, step, point)
         evals = np.linalg.eigvalsh(system.matrix)
@@ -224,46 +226,32 @@ def ite_run(
         )
         energy = system.energy.mean
 
-        records["step"].append(step)
-        records["tau"].append(tau)
-        records["energy"].append(energy)
-        records["std_error"].append(system.energy.std_error)
-        records["theta"].append(theta.copy())
-        records["min_eig"].append(float(evals[0]))
-        records["max_eig"].append(float(evals[-1]))
-        records["residual"].append(residual)
-
         if exact:
-            t, theta, point, trials = _energy_accepted(index, h, theta, delta, dt, energy)
+            t, next_theta, point, trials = _energy_accepted(index, h, theta, delta, dt, energy)
             if point is not None:
                 params = point.params
                 dt = min(GROWTH * t, 1.0)
-            tau += t
         else:
-            theta = theta + delta
-            params = index.unflatten(theta)
-            tau += cfg.dtau
-            trials = 0
-        records["trials"].append(trials)
+            t, next_theta, trials = cfg.dtau, theta + delta, 0
+            params = index.unflatten(next_theta)
+        rows.append((
+            step, tau, energy, system.energy.std_error, theta, float(evals[0]),
+            float(evals[-1]), residual, trials,
+        ))
+        theta, tau = next_theta, tau + t
 
         window = cfg.convergence_window
-        if cfg.convergence_threshold > 0 and len(records["energy"]) >= window:
-            tail = records["energy"][-window:]
+        if cfg.convergence_threshold > 0 and len(rows) >= window:
+            tail = [row[2] for row in rows[-window:]]
             if max(tail) - min(tail) < cfg.convergence_threshold:
                 break
 
-    trace = IteTrace(
-        steps=np.array(records["step"], dtype=np.int64),
-        taus=np.array(records["tau"]),
-        energies=np.array(records["energy"]),
-        std_errors=np.array(records["std_error"]),
-        thetas=np.array(records["theta"]),
-        min_eig_a=np.array(records["min_eig"]),
-        max_eig_a=np.array(records["max_eig"]),
-        residuals=np.array(records["residual"]),
-        trials=np.array(records["trials"], dtype=np.int64),
+    steps, *columns, trials = zip(*rows)
+    return params, IteTrace(
+        np.array(steps, dtype=np.int64),
+        *(np.array(column) for column in columns),
+        np.array(trials, dtype=np.int64),
     )
-    return params, trace
 
 
 def mean_field_stage(

@@ -91,6 +91,17 @@ class TestComputeErrors:
         assert code == 2
         assert not trace.exists()
 
+    def test_zero_mean_field_steps_are_refused_before_any_work(self, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        code = run_cli(
+            ["ite", "--model", "tfi", "--n", "3", "--steps", "5", "--mean-field",
+             "--mean-field-steps", "0",
+             "--trace-out", str(trace), "--params-out", str(tmp_path / "p.txt")]
+        )
+        assert code == 2
+        assert "mean_field_steps" in capsys.readouterr().err
+        assert not trace.exists()
+
     def test_degenerate_ensemble_weights_name_the_step(self, capsys):
         # at this start the step-0 batch has an effective sample size of
         # 35 of 4096 (0.0086), below the 1/64 floor

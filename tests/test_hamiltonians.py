@@ -226,6 +226,13 @@ class TestPauliFileFormat:
             parse_pauli_text("0.5 ZZ\nnot a line at all\n")
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize("coeff", ["nan", "inf", "-inf", "1e999", "nan+0j", "inf-0j"])
+    def test_non_finite_coefficient_reports_number(self, coeff):
+        # both the float and the complex route reach the finiteness check
+        with pytest.raises(PauliFileError, match="non-finite") as err:
+            parse_pauli_text(f"1.0 ZZ\n{coeff} XI\n")
+        assert err.value.line_number == 2
+
     def test_non_real_coefficient_is_hermiticity_error(self):
         with pytest.raises(HermiticityError):
             parse_pauli_text("0.5+0.5j ZZ\n")

@@ -25,9 +25,7 @@ from ucrbm.solver import (
 
 
 def make_system(a, c):
-    return SrSystem(
-        a=a, c=c, energy=Estimate(0.0, 0.0, 0, "exact"), n_preparations=0
-    )
+    return SrSystem(a, c, Estimate(0.0, 0.0, 0, "exact"))
 
 
 def zero_params(n, m):
@@ -76,8 +74,9 @@ class TestSrUpdate:
         assert np.array_equal(given, delta)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            sr_update(make_system(np.eye(2), np.array([np.inf, 0.0])), 0.0, 0.01)
+        # the system is checked when it is built, so sr_update never sees it
+        with pytest.raises(NumericalIntegrityError, match="non-finite"):
+            make_system(np.eye(2), np.array([np.inf, 0.0]))
 
 
 def unrestricted_systems():
@@ -96,7 +95,7 @@ class TestHalfSizeSystem:
     def test_step_matches_real_solve(self):
         lam = 1e-3
         for system in unrestricted_systems():
-            assert system.slots is not None
+            assert system.layout is not None
             a, c = system.a, system.c
             shifted = a + lam * np.eye(a.shape[0])
             expected = np.linalg.solve(shifted, c)
@@ -121,7 +120,7 @@ class TestHalfSizeSystem:
             b=np.zeros(3, complex), m=np.zeros(2, complex), w=np.zeros((3, 2), complex)
         )
         system = compute_a_c_exact(params, build_tfi(3, 0.7))
-        assert system.slots is not None
+        assert system.layout is not None
         assert np.linalg.eigvalsh(system.matrix)[0] <= 0.0
         assert np.any(np.all(system.a == 0.0, axis=1))
         delta, residual = sr_update(system, 0.0, 1.0)
@@ -256,9 +255,40 @@ class TestIteRun:
     def test_tau_increments_by_dtau(self):
         h = build_tfi(2, 0.5)
         cfg = IteConfig(n_steps=7, dtau=0.03, convergence_threshold=0.0, mode="vmc")
-        _, trace = ite_run(random_init(2, 2, 0.1, 0, True), h, cfg)
+        p0 = random_init(2, 2, 0.1, 0, True)
+        _, trace = ite_run(p0, h, cfg)
         np.testing.assert_allclose(np.diff(trace.taus), 0.03, atol=1e-15)
         assert np.all(trace.trials == 0)
+        # one row per step: integer steps and trials, one theta row each
+        n_var = VariationalIndex.for_params(p0).size
+        assert trace.steps.dtype == np.dtype(np.int64)
+        assert trace.trials.dtype == np.dtype(np.int64)
+        np.testing.assert_array_equal(trace.steps, np.arange(7, dtype=np.int64))
+        assert trace.thetas.shape == (7, n_var)
+        for name in ("taus", "energies", "std_errors", "min_eig_a", "max_eig_a", "residuals"):
+            column = getattr(trace, name)
+            assert column.dtype == np.float64 and column.shape == (7,)
+
+    @pytest.mark.parametrize(
+        "mode, unitary",
+        [("exact", True), ("exact", False), ("vmc", True), ("ensemble", True)],
+    )
+    def test_non_finite_f_is_a_typed_error_with_the_step(self, monkeypatch, mode, unitary):
+        # a NaN in F reaches C (or the half-size right-hand side); the system
+        # check at construction turns it into an integrity error at step 0
+        import ucrbm.estimators
+
+        moments = ucrbm.estimators._moments
+
+        def broken(zmat, t, wn, g):
+            s, f = moments(zmat, t, wn, g)
+            f[0] = np.nan
+            return s, f
+
+        monkeypatch.setattr(ucrbm.estimators, "_moments", broken)
+        cfg = IteConfig(n_steps=2, mode=mode, n_samples=200)
+        with pytest.raises(NumericalIntegrityError, match="^step 0: .*non-finite"):
+            ite_run(random_init(2, 2, 0.1, 1, unitary), build_tfi(2, 0.5), cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -275,6 +305,18 @@ class TestIteRun:
         for window in (0, -1):
             with pytest.raises(ValueError, match="convergence_window"):
                 IteConfig(convergence_window=window)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_samples", 0), ("n_samples", -5), ("seed", -1), ("mean_field_steps", 0),
+         ("mean_field_steps", -3)],
+    )
+    def test_bad_run_settings_are_refused(self, field, value):
+        # each failed late: a sample count below 1 and a negative seed at step
+        # 0 of a sampled run (or the mean-field re-seed), no mean-field steps
+        # in mean_field_stage with a misleading message
+        with pytest.raises(ValueError, match=field):
+            IteConfig(**{field: value})
 
     @pytest.mark.parametrize("threshold", [-1.0, -1e-12, float("nan")])
     def test_negative_or_nan_threshold_is_refused(self, threshold):
