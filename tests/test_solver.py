@@ -312,9 +312,9 @@ class TestIteRun:
          ("mean_field_steps", -3)],
     )
     def test_bad_run_settings_are_refused(self, field, value):
-        # each failed late: a sample count below 1 and a negative seed at step
-        # 0 of a sampled run (or the mean-field re-seed), no mean-field steps
-        # in mean_field_stage with a misleading message
+        # refused before any work: otherwise a sample count below 1 or a
+        # negative seed fails only at step 0 of a sampled run (or at the
+        # mean-field re-seed), and no mean-field steps only in mean_field_stage
         with pytest.raises(ValueError, match=field):
             IteConfig(**{field: value})
 
