@@ -4,14 +4,13 @@ Kernel inputs are plain arrays; the wrapping modules own validation.
 
 ``logcosh_sum_tanh`` serves the dense pass of exact mode and vmc: from one
 expm1 per hidden angle it gives each row's sum of log cosh theta, for the
-amplitudes, and tanh theta, for the derivative moments.  ``logpsi_batch``
-gives the principal-branch log-amplitudes of rows whose hidden angles
-theta = m + zW the caller computed (``log_amplitude``, the public point
-evaluation).  ``local_energy_batch`` serves the ensemble mode,
-which has no statevector: it forms each amplitude ratio psi(z')/psi(z) from
-the flipped sites alone (the cached-angle update of Carleo & Troyer,
-Science 355, 602 (2017)); exact mode and vmc gather H psi from the full
-statevector instead.  It takes t = tanh(theta), which the caller computes
+amplitudes, and tanh theta, for the derivative moments.  ``logcosh`` is
+the principal branch that ``rbm.log_amplitude_batch`` sums for the
+log-amplitudes of given rows.  ``local_energy_batch`` serves the ensemble
+mode, which has no statevector: it forms each amplitude ratio
+psi(z')/psi(z) from the flipped sites alone (the cached-angle update of
+Carleo & Troyer, Science 355, 602 (2017)); exact mode and vmc gather H psi
+from the full statevector instead.  It takes t = tanh(theta), which the caller computes
 once and feeds to the derivative moments too.
 
 The kernel has one lane, the unitary-coupled one (Re w = 0), because the
@@ -73,12 +72,6 @@ def logcosh_sum_tanh(theta):
     if small.any():
         total[small] = logcosh(theta[small]).sum(axis=1)
     return total, t
-
-
-def logpsi_batch(zmat, theta, b):
-    """Unnormalized log-amplitudes for a (K, N) batch of spin rows with
-    hidden angles ``theta``."""
-    return zmat @ b + logcosh(theta).sum(axis=1)
 
 
 def local_energy_batch(zmat, t, b, w, flips, elements, flip_sites):

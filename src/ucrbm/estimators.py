@@ -22,22 +22,24 @@ hidden-angle pass theta = m + zW and one expm1 per angle
 theta, one log per row) and tanh theta for the derivative moments, and
 H psi comes from the ``apply_h`` gather.  Exact mode weighs every
 configuration: e = conj(psi) H psi is p E_loc with no division, so no row
-of vanishing amplitude can enter as 0 * inf and none is dropped.  vmc draws
-basis indices from the pass's |psi|^2; its rows are the indices of positive
-summed weight, each with the local energy (H psi)(z)/psi(z) and tanh theta
-gathered from the pass.
+of vanishing amplitude can enter as 0 * inf and none is dropped.
 
-The ensemble mode has no statevector and no 2^N cap, so it goes through
-``_evaluate``, which works once per distinct configuration with positive
-weight.  The sampler has already keyed the runs' readouts into distinct
-rows and taken their hidden angles theta = m + zW, one pass that also gave
-the hidden outcomes' probabilities (``circuit.sample_protocol_batch``);
-``_evaluate`` sums the weights per row, drops rows of weight 0, and one
-tanh(theta) of the rest feeds both the flipped-site local-energy kernel and
-the derivative moments.  The kernel has only the unitary-coupled lane, so
-``_evaluate`` refuses unrestricted parameters.  In both sampled modes
-means, standard errors and preparation counts stay per sample, with local
-energies gathered back through the map from samples to rows.
+The two sampled modes differ only in how they draw (``_draw_samples``, the
+one place that reads the mode).  Each draw is a ``_Draw``: per sample a
+weight and a row, and ``rows_of``, which gives a selection of rows as float
+spins, tanh theta and local energies.  vmc makes the dense pass, draws basis
+indices from its |psi|^2 and gathers each row's spins, tanh theta and
+(H psi)(z)/psi(z) from it.  The ensemble mode has no statevector and no 2^N
+cap: the sampler has keyed the runs' readouts into distinct rows and taken
+their hidden angles theta = m + zW, one pass that also gave the hidden
+outcomes' probabilities (``circuit.sample_protocol_batch``, which refuses
+unrestricted parameters, as the flipped-site local-energy kernel reads no
+Re w); one tanh(theta) of a selection feeds both that kernel and the
+derivative moments.  One evaluation serves both (``_evaluate_samples``): it
+sums the weights per row, drops rows of weight 0 and reads the rest once
+through ``rows_of``.  Means, standard errors and preparation counts stay
+per sample, with local energies gathered back through the map from samples
+to rows.
 
 Each real slot's log-derivative is one of the N + M + N*M distinct complex
 columns x = (z_i, tanh theta_j, z_i tanh theta_j) or i times one.  A and C
@@ -67,6 +69,7 @@ and Hermitian, else ``NumericalIntegrityError``.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
@@ -74,7 +77,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernels
-from .circuit import ProtocolBatch, measure_indices, sample_protocol_batch
+from .circuit import measure_indices, sample_protocol_batch
 from .errors import DegenerateWeightError, NumericalIntegrityError
 from .hamiltonians import PauliHamiltonian, apply_h, connected_states, connected_structure
 from .rbm import (
@@ -205,18 +208,44 @@ def expectation_exact(
 # sample generation: one serial stream, one state preparation per sample
 
 
-def _draw_samples(params, n_samples, rng, mode, point=None):
-    """(samples, weights) of ``n_samples`` samples drawn from ``rng``: for
-    vmc the basis indices of Born-rule draws from the dense pass ``point``
-    at ``params``, for the ensemble mode the ``ProtocolBatch`` of reweighted
-    protocol runs."""
+class _Draw(NamedTuple):
+    """K samples drawn in one sampled mode: each sample's weight and row,
+    and ``rows_of``, which maps a selection of the ``n_rows`` rows to their
+    float spins, tanh of their hidden angles and their local energies."""
+
+    mode: str
+    weights: np.ndarray  # (K,)
+    inverse: np.ndarray  # (K,) row of each sample
+    n_rows: int
+    rows_of: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+
+def _draw_samples(params, h, n_samples, rng, mode) -> _Draw:
+    """``n_samples`` samples drawn from ``rng``: for vmc Born-rule basis
+    indices from the dense pass at ``params`` (``exact_point``), whose
+    rows it reads; for the ensemble mode the reweighted protocol runs of
+    ``sample_protocol_batch``, whose distinct readouts are its rows.  The
+    one place that reads the sampled mode."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
     if mode == "vmc":
-        return measure_indices(point.psi, n_samples, rng), np.ones(n_samples)
+        point = exact_point(params, h)
+        index = measure_indices(point.psi, n_samples, rng)
+
+        def dense_rows(sel):
+            # The rows are Born-rule draws, so none has zero amplitude.
+            return point.zmat[sel], point.t[sel], point.hpsi[sel] / point.psi.amplitudes[sel]
+
+        return _Draw(mode, np.ones(n_samples), index, point.zmat.shape[0], dense_rows)
     if mode == "ensemble":
         batch = sample_protocol_batch(params, n_samples, rng)
-        return batch, batch.weights
+
+        def readout_rows(sel):
+            rows = batch.rows[sel].astype(np.float64)
+            t = np.tanh(batch.theta[sel])
+            return rows, t, _local_energies(params, h, rows, t)
+
+        return _Draw(mode, batch.weights, batch.inverse, batch.rows.shape[0], readout_rows)
     raise ValueError(f"unknown sampling mode {mode!r}")
 
 
@@ -227,45 +256,6 @@ def _local_energies(params, h, rows, t) -> np.ndarray:
     return _kernels.local_energy_batch(
         rows, t, params.b, params.w, struct.flips, struct.elements(rows), struct.flip_sites
     )
-
-
-def _evaluate(params, h, batch: ProtocolBatch, wn):
-    """Evaluate each distinct readout of a protocol batch (the ensemble
-    mode's runs) with positive weight once, with no statevector: tanh of
-    the angles the sampler took for those rows feeds the flipped-site
-    local-energy kernel.  Unrestricted ``params`` are refused before any
-    row work: the kernel reads no Re w.
-
-    Returns those rows (float), their summed normalized weights, tanh of
-    their hidden angles, their local energies, and the local energy of every
-    sample (0 for a sample of weight 0).
-    """
-    if not params.unitary_coupled:
-        raise ValueError("the ensemble mode requires unitary couplings")
-    row_w = np.bincount(batch.inverse, weights=wn, minlength=batch.rows.shape[0])
-    # Rows of weight 0 carry nothing and are dropped; a row of vanishing
-    # amplitude could overflow its ratios (0 * inf).
-    keep = row_w > 0.0
-    rows = batch.rows[keep].astype(np.float64)
-    t = np.tanh(batch.theta[keep])
-    eloc_rows = _local_energies(params, h, rows, t)
-    eloc = np.zeros(keep.shape[0], dtype=np.complex128)
-    eloc[keep] = eloc_rows
-    return rows, row_w[keep], t, eloc_rows, eloc[batch.inverse]
-
-
-def _evaluate_dense(point, index, wn):
-    """``_evaluate`` for samples drawn as basis indices of the dense pass
-    ``point`` (vmc): a row is a basis index with positive summed weight, and
-    its local energy (H psi)(z)/psi(z) and tanh theta are gathered from the
-    pass.  The indices are Born-rule draws, so no row has zero
-    amplitude."""
-    row_w = np.bincount(index, weights=wn, minlength=point.zmat.shape[0])
-    rows = np.flatnonzero(row_w > 0.0)
-    eloc_rows = point.hpsi[rows] / point.psi.amplitudes[rows]
-    eloc = np.zeros(row_w.shape[0], dtype=np.complex128)
-    eloc[rows] = eloc_rows
-    return point.zmat[rows], row_w[rows], point.t[rows], eloc_rows, eloc[index]
 
 
 def _energy_estimate(eloc_real, r, r_sum, mode, n_samples) -> Estimate:
@@ -303,19 +293,22 @@ def _check_weights(weights):
     return r, r_sum
 
 
-def _evaluate_samples(params, h, samples, weights, point):
-    """The rows, row weights, tanh theta and row local energies of a sample
-    batch, and its energy estimate.  The samples are basis indices drawn
-    from the dense pass ``point`` (vmc), or a ``ProtocolBatch`` when
-    ``point`` is None (ensemble)."""
-    r, r_sum = _check_weights(weights)
-    wn = r / r_sum
-    if point is None:
-        mode, evaluation = "ensemble", _evaluate(params, h, samples, wn)
-    else:
-        mode, evaluation = "vmc", _evaluate_dense(point, samples, wn)
-    *per_row, eloc = evaluation
-    return per_row, _energy_estimate(eloc.real, r, r_sum, mode, weights.shape[0])
+def _evaluate_samples(draw: _Draw):
+    """The rows of positive weight of a draw, as float spins, summed
+    normalized weights, tanh theta and local energies, and the energy
+    estimate, whose mean and standard error stay per sample."""
+    r, r_sum = _check_weights(draw.weights)
+    row_w = np.bincount(draw.inverse, weights=r / r_sum, minlength=draw.n_rows)
+    # Rows of weight 0 carry nothing and are dropped; a row of vanishing
+    # amplitude could overflow its ratios (0 * inf).
+    rows = np.flatnonzero(row_w > 0.0)
+    zmat, t, eloc_rows = draw.rows_of(rows)
+    eloc = np.zeros(draw.n_rows, dtype=np.complex128)
+    eloc[rows] = eloc_rows
+    energy = _energy_estimate(
+        eloc[draw.inverse].real, r, r_sum, draw.mode, draw.weights.shape[0]
+    )
+    return (zmat, row_w[rows], t, eloc_rows), energy
 
 
 def expectation_vmc(
@@ -325,9 +318,7 @@ def expectation_vmc(
     rng: np.random.Generator,
 ) -> Estimate:
     """Mean local observable over z ~ |<z|Psi>|^2 with its standard error."""
-    point = exact_point(params, h)
-    index, weights = _draw_samples(params, n_samples, rng, "vmc", point)
-    return _evaluate_samples(params, h, index, weights, point)[1]
+    return _evaluate_samples(_draw_samples(params, h, n_samples, rng, "vmc"))[1]
 
 
 def expectation_ensemble(
@@ -338,8 +329,7 @@ def expectation_ensemble(
 ) -> Estimate:
     """Self-normalized estimator over protocol runs: the weighted mean of
     local observables with weights prod_j R^2_{s_j}, ratio standard error."""
-    batch, weights = _draw_samples(params, n_samples, rng, "ensemble")
-    return _evaluate_samples(params, h, batch, weights, None)[1]
+    return _evaluate_samples(_draw_samples(params, h, n_samples, rng, "ensemble"))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +488,8 @@ def _slot_system(params, s, f, energy) -> SrSystem:
     return SrSystem(*_real_form(s, g, layout), energy)
 
 
-def _assemble_system(params, h, samples, weights, point):
-    (rows, row_w, t, eloc_rows), energy = _evaluate_samples(params, h, samples, weights, point)
+def _assemble_system(params, draw: _Draw) -> SrSystem:
+    (rows, row_w, t, eloc_rows), energy = _evaluate_samples(draw)
     g = row_w * (eloc_rows - complex(row_w @ eloc_rows))
     s, f = _moments(rows, t, row_w, g)
     return _slot_system(params, s, f, energy)
@@ -565,10 +555,10 @@ def compute_a_c_sampled(
     tanh theta and the local energy are evaluated once per distinct sampled
     configuration, and every A entry, every C entry, and the energy are
     derived from them - exactly one state preparation per sample, reported
-    in ``n_preparations``.  vmc reads them from the dense pass it draws from
-    (``exact_point``).  A and C come from the monomial moments of those rows
+    in ``n_preparations``.  The draw (``_draw_samples``) says where a row's
+    values come from: vmc gathers them from the dense pass it draws from
+    (``exact_point``), the ensemble mode evaluates the sampler's distinct
+    readouts.  A and C come from the monomial moments of those rows
     (``_moments``; see the module docstring).
     """
-    point = exact_point(params, h) if mode == "vmc" else None
-    samples, weights = _draw_samples(params, n_samples, rng, mode, point)
-    return _assemble_system(params, h, samples, weights, point)
+    return _assemble_system(params, _draw_samples(params, h, n_samples, rng, mode))

@@ -51,6 +51,10 @@ class PauliHamiltonian:
     terms: tuple[tuple[float, str], ...]
 
     def __post_init__(self):
+        if self.n_qubits < 1:
+            raise ValueError("n_qubits must be at least 1")
+        if not self.terms:
+            raise ValueError("terms must hold at least one Pauli word")
         seen = set()
         for coeff, word in self.terms:
             if len(word) != self.n_qubits or any(c not in PAULI_CHARS for c in word):

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IdentityCheckError
-from .rbm import RbmParams, exact_statevector, logcosh
+from ._kernels import logcosh
+from .rbm import RbmParams, exact_statevector
 from .spins import all_spin_configs
 from .statevector import EXPANSION_CAP, check_cap, fidelity
 

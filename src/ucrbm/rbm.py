@@ -167,17 +167,12 @@ def random_init(
     return index.unflatten(rng.normal(0.0, stddev, size=index.size))
 
 
-def logcosh(x):
-    """Principal-branch complex log cosh, safe for large |Re x|."""
-    return _kernels.logcosh(x)
-
-
 def log_amplitude_batch(params: RbmParams, zmat: np.ndarray) -> np.ndarray:
     """log psi(z) for a (K, N) batch of spin rows (entries +1/-1)."""
     zmat = np.ascontiguousarray(zmat, dtype=np.float64)
     if zmat.ndim != 2 or zmat.shape[1] != params.n_visible:
         raise ValueError(f"batch shape {zmat.shape} does not match N = {params.n_visible}")
-    return _kernels.logpsi_batch(zmat, hidden_angles(params, zmat), params.b)
+    return zmat @ params.b + _kernels.logcosh(hidden_angles(params, zmat)).sum(axis=1)
 
 
 def log_amplitude(params: RbmParams, z) -> complex:

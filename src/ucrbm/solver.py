@@ -76,10 +76,12 @@ class IteConfig:
     n_threads: int = 1
 
     def __post_init__(self):
-        if self.dtau <= 0:
-            raise ValueError("dtau must be positive")
-        if self.regularization < 0:
-            raise ValueError("regularization must be non-negative")
+        # "not" also refuses NaN, which compares False like a value out of
+        # range.
+        if not 0 < self.dtau < np.inf:
+            raise ValueError("dtau must be finite and positive")
+        if not 0 <= self.regularization < np.inf:
+            raise ValueError("regularization must be finite and non-negative")
         if self.n_steps < 1:
             raise ValueError("need at least one step")
         if self.n_samples < 1:

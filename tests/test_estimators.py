@@ -21,7 +21,6 @@ from ucrbm.estimators import (
     _assemble_system,
     _check_weights,
     _draw_samples,
-    _evaluate,
     _evaluate_samples,
     _moment_layout,
     _moments,
@@ -243,15 +242,16 @@ class TestExpectationEnsemble:
         with pytest.raises(ValueError):
             expectation_ensemble(p, build_tfi(2, 1.0), 10, np.random.default_rng(0))
 
-    def test_row_evaluation_refuses_unrestricted_couplings(self):
+    def test_draw_refuses_unrestricted_couplings_before_drawing(self):
         # the flipped-site kernel reads no Re w: unrestricted parameters
-        # would get wrong local energies, so _evaluate refuses them
-        batch = sample_protocol_batch(
-            random_init(2, 2, 0.3, 0, True), 50, np.random.default_rng(0)
-        )
+        # would get wrong local energies, so the sampler refuses them before
+        # it reads the generator
         p = random_init(2, 2, 0.3, 0, False)
-        with pytest.raises(ValueError, match="the ensemble mode requires unitary"):
-            _evaluate(p, build_tfi(2, 1.0), batch, np.full(50, 1.0 / 50))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="requires unitary couplings"):
+            _draw_samples(p, build_tfi(2, 1.0), 50, rng, "ensemble")
+        assert rng.bit_generator.state == state
 
     def test_runs_past_the_statevector_cap(self):
         # the factorized sampler holds no statevector: N = 16 runs although
@@ -417,17 +417,14 @@ class TestComputeAcSampled:
         rng = np.random.default_rng(8)
         for mode in ("vmc", "ensemble"):
             original = compute_a_c_sampled(p, h, 600, np.random.default_rng(3), mode=mode)
-            point = exact_point(p, h) if mode == "vmc" else None
-            samples, weights = _draw_samples(p, 600, np.random.default_rng(3), mode, point)
+            draw = _draw_samples(p, h, 600, np.random.default_rng(3), mode)
+            weights = draw.weights.copy()
             split = rng.choice(weights.shape[0], size=100, replace=False)
             weights[split] *= 0.5
             rows = np.concatenate([np.arange(weights.shape[0]), split])
             rows = rng.permutation(rows)
-            if mode == "ensemble":  # the runs reach their rows through inverse
-                replay = samples._replace(inverse=samples.inverse[rows])
-            else:
-                replay = samples[rows]
-            replayed = _assemble_system(p, h, replay, weights[rows], point)
+            replay = draw._replace(weights=weights[rows], inverse=draw.inverse[rows])
+            replayed = _assemble_system(p, replay)
             np.testing.assert_allclose(replayed.a, original.a, rtol=0, atol=1e-12)
             np.testing.assert_allclose(replayed.c, original.c, rtol=0, atol=1e-12)
             assert replayed.energy.mean == pytest.approx(original.energy.mean, abs=1e-12)
@@ -438,12 +435,14 @@ class TestComputeAcSampled:
         h = build_tfi(3, 0.5)
         p = random_init(3, 3, 0.3, 7, True)
         original = compute_a_c_sampled(p, h, 400, np.random.default_rng(9), mode="vmc")
-        point = exact_point(p, h)
-        index, weights = _draw_samples(p, 400, np.random.default_rng(9), "vmc", point)
-        extra = index[np.random.default_rng(1).integers(0, index.shape[0], 100)]
+        draw = _draw_samples(p, h, 400, np.random.default_rng(9), "vmc")
+        extra = draw.inverse[np.random.default_rng(1).integers(0, draw.inverse.shape[0], 100)]
         padded = _assemble_system(
-            p, h, np.concatenate([index, extra]), np.concatenate([weights, np.zeros(100)]),
-            point,
+            p,
+            draw._replace(
+                weights=np.concatenate([draw.weights, np.zeros(100)]),
+                inverse=np.concatenate([draw.inverse, extra]),
+            ),
         )
         assert padded.energy.mean == pytest.approx(original.energy.mean, rel=1e-12)
         assert padded.energy.std_error == pytest.approx(
@@ -459,10 +458,10 @@ class TestVmcDensePass:
     def test_draws_are_measure_visible_row_for_row(self, n, seed):
         h = build_tfi(n, 0.5)
         p = random_init(n, n, 0.3, seed, True)
-        point = exact_point(p, h)
-        index, _ = _draw_samples(p, 500, np.random.default_rng(seed), "vmc", point)
+        draw = _draw_samples(p, h, 500, np.random.default_rng(seed), "vmc")
         want = measure_visible(exact_statevector(p), 500, np.random.default_rng(seed))
-        assert np.array_equal(point.zmat[index], want)
+        assert draw.n_rows == 1 << n
+        assert np.array_equal(draw.rows_of(draw.inverse)[0], want)
 
     @pytest.mark.parametrize("unitary", [True, False])
     def test_expectation_vmc_is_the_system_energy(self, unitary):
@@ -731,9 +730,9 @@ class TestCheckWeights:
         # the estimate reads the weights only through w / max w
         p = random_init(4, 3, 0.3, 1, True)
         h = build_tfi(4, 0.5)
-        batch, weights = _draw_samples(p, 500, np.random.default_rng(2), "ensemble")
-        big = _evaluate_samples(p, h, batch, weights * 2.0**900, None)
-        small = _evaluate_samples(p, h, batch, weights * 2.0**-900, None)
+        draw = _draw_samples(p, h, 500, np.random.default_rng(2), "ensemble")
+        big = _evaluate_samples(draw._replace(weights=draw.weights * 2.0**900))
+        small = _evaluate_samples(draw._replace(weights=draw.weights * 2.0**-900))
         assert big[1] == small[1]
         for a, b in zip(big[0], small[0]):
             assert np.array_equal(a, b)
@@ -756,9 +755,9 @@ class TestBenchmarkHooks:
 
         monkeypatch.setattr(ucrbm.estimators, "sample_protocol_batch", recording)
         p = random_init(3, 2, 0.3, 0, True)
-        _, weights = _draw_samples(p, 100, np.random.default_rng(5), "ensemble")
+        draw = _draw_samples(p, build_tfi(3, 0.5), 100, np.random.default_rng(5), "ensemble")
         (result,) = results
-        assert result[2] is weights
+        assert result[2] is draw.weights
 
     @pytest.mark.parametrize("mode", ["exact", "vmc", "ensemble"])
     def test_one_assembly_call_per_ite_step(self, monkeypatch, mode):
@@ -784,7 +783,7 @@ class TestBenchmarkHooks:
 
     def test_one_hidden_angle_pass_per_ensemble_step(self, monkeypatch):
         # the sampler takes theta once over the distinct readouts, and
-        # _evaluate reads tanh theta from it: no second angle pass
+        # the draw's rows_of reads tanh theta from it: no second angle pass
         import ucrbm.circuit
 
         calls = {}

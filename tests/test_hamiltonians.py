@@ -431,3 +431,14 @@ class TestPauliHamiltonianValidation:
     def test_rejects_non_finite_coefficient(self):
         with pytest.raises(ValueError):
             PauliHamiltonian(1, ((float("inf"), "Z"),))
+
+    @pytest.mark.parametrize(
+        "n_qubits, terms, field",
+        [(2, (), "terms"), (-1, (), "n_qubits"), (0, ((1.0, ""),), "n_qubits")],
+    )
+    def test_rejects_no_qubits_or_no_terms(self, n_qubits, terms, field):
+        # otherwise exact_ground reads 0.0 for an empty sum while
+        # expectation_exact fails in connected_structure, and a negative
+        # qubit count fails only in exact_ground's shift
+        with pytest.raises(ValueError, match=field):
+            PauliHamiltonian(n_qubits, terms)

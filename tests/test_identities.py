@@ -124,7 +124,7 @@ class TestPolynomialExpansion:
         p = random_init(2, 2, 0.3, 1, False)
         expansion = rbm_polynomial_coefficients(p)
         zmat = all_spin_configs(2).astype(float)
-        from ucrbm.rbm import logcosh
+        from ucrbm._kernels import logcosh
 
         direct = logcosh(p.m[None, :] + zmat @ p.w).sum(axis=1)
         recon = expansion.reconstruct(zmat)

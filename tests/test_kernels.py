@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ucrbm import _kernels
-from ucrbm.estimators import _evaluate_dense, _local_energies, exact_point, local_observable
+from ucrbm.estimators import _draw_samples, _local_energies, local_observable
 from ucrbm.hamiltonians import (
     PauliHamiltonian,
     TqdParams,
@@ -223,7 +223,8 @@ class TestDenseLocalEnergy:
     # (H psi)(z)/psi(z).  The oracle is the flipped-site kernel of the
     # ensemble mode for unitary couplings; the kernel reads no Re w, so
     # unrestricted parameters take the log-amplitude oracle
-    # ``local_observable``.  Every basis row is drawn once, with unit weight.
+    # ``local_observable``.  Every basis row is read through the vmc draw's
+    # ``rows_of``.
     @pytest.mark.parametrize("scale", [0.1, 0.7, 1.5])
     @pytest.mark.parametrize("unitary", [True, False])
     @pytest.mark.parametrize("model", sorted(DENSE_MODELS))
@@ -233,9 +234,8 @@ class TestDenseLocalEnergy:
         for seed in range(2):
             params = random_init(n, n, scale, seed, unitary)
             index = np.arange(1 << n)
-            rows, _, _, got, _ = _evaluate_dense(
-                exact_point(params, h), index, np.ones(index.shape[0])
-            )
+            draw = _draw_samples(params, h, 1, np.random.default_rng(0), "vmc")
+            rows, _, got = draw.rows_of(index)
             if unitary:
                 want = _local_energies(params, h, rows, np.tanh(hidden_angles(params, rows)))
             else:

@@ -309,12 +309,15 @@ class TestIteRun:
     @pytest.mark.parametrize(
         "field, value",
         [("n_samples", 0), ("n_samples", -5), ("seed", -1), ("mean_field_steps", 0),
-         ("mean_field_steps", -3)],
+         ("mean_field_steps", -3)]
+        + [(f, v) for f in ("dtau", "regularization") for v in (np.nan, np.inf, -np.inf)],
     )
     def test_bad_run_settings_are_refused(self, field, value):
         # refused before any work: otherwise a sample count below 1 or a
         # negative seed fails only at step 0 of a sampled run (or at the
-        # mean-field re-seed), and no mean-field steps only in mean_field_stage
+        # mean-field re-seed), no mean-field steps only in mean_field_stage,
+        # and a NaN or infinite dtau or regularization only at step 0's
+        # update, naming neither the field nor the step
         with pytest.raises(ValueError, match=field):
             IteConfig(**{field: value})
 
