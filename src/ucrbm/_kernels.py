@@ -2,8 +2,14 @@
 
 Kernel inputs are plain arrays; the wrapping modules own validation.
 
-``logcosh_sum_tanh`` serves the dense pass of exact mode and vmc: from one
-expm1 per hidden angle it gives each row's sum of log cosh theta, for the
+The dense pass of exact mode and vmc takes one of two lanes, by ansatz.
+``unitary_amplitudes_tanh`` serves unitary couplings (Re w = 0) with no
+hidden-angle array: every x_j = exp(-2 s_j theta_j) is a constant times a
+product of per-site unit-modulus factors, so one doubling over the sites
+gives x and the product-state factor on all 2^N rows, from N*M complex
+exponentials in all, and psi and tanh theta follow from 1 + x and 1 - x.
+``logcosh_sum_tanh`` serves unrestricted couplings: from one expm1 per
+hidden angle it gives each row's sum of log cosh theta, for the
 amplitudes, and tanh theta, for the derivative moments.  ``logcosh`` is
 the principal branch that ``rbm.log_amplitude_batch`` sums for the
 log-amplitudes of given rows.  ``local_energy_batch`` serves the ensemble
@@ -33,6 +39,11 @@ BACKEND = "numpy"
 
 _LOG_HALF = float(np.log(0.5))
 _TINY = np.finfo(np.float64).tiny  # smallest normal float
+_LOG_2 = float(np.log(2.0))
+# Smallest hidden product the unitary-coupled lane takes as it is: the
+# largest amplitude is then at least this, so the squared norm stays a
+# normal float.
+_PRODUCT_FLOOR = 2.0**-500
 
 
 def logcosh(x: np.ndarray) -> np.ndarray:
@@ -72,6 +83,70 @@ def logcosh_sum_tanh(theta):
     if small.any():
         total[small] = logcosh(theta[small]).sum(axis=1)
     return total, t
+
+
+def unitary_amplitudes_tanh(b, m, w):
+    """(amplitudes up to a positive factor, tanh theta) on the 2^N big-endian
+    rows of ``all_spin_configs`` for a unitary-coupled RBM (Re w = 0, not
+    read); tanh theta is the (2^N, M) transpose of an (M, 2^N) array.
+    None where a row's hidden product underflows (see below).
+
+    With s_j = sign Re m_j, cosh theta_j = exp(s_j theta_j) (1 + x_j) / 2 and
+    x_j = exp(-2 s_j theta_j), |x_j| <= 1.  As Re theta_j = Re m_j on every
+    row, x_j = exp(-2 s_j m_j) prod_i exp(-2 s_j w_ij z_i), a product of
+    unit-modulus site factors, and
+    psi = exp(sum_j s_j m_j) exp(a . z) prod_j (1 + x_j) / 2 with
+    a_i = b_i + sum_j s_j w_ij.  One buffer holds x_j / 2 and the product
+    state exp(a_i z_i - |Re a_i|), whose factors do not exceed 1 either:
+    site by site, from the last (least significant) to the first, its
+    filled rows are copied times the z_i = -1 factors into the next rows
+    and scaled in place by the z_i = +1 factors.  The constants
+    exp(-2 s m) / 2 and exp(i sum_j s_j Im m_j) ride on the last site's
+    factors; exp(sum_j s_j Re m_j + sum_i |Re a_i|) > 0 is dropped.  Then
+    tanh theta = s (1 - x) / (1 + x) = s / g - s with g = (1 + x) / 2.
+    Near theta = 0 that difference loses the relative precision of
+    tanh theta where |theta| is below about 1e-8, while its absolute error
+    stays about eps.
+
+    A row whose product of g falls below ``_PRODUCT_FLOOR`` (several hidden
+    units with cosh theta near 0) would lose its relative precision, and
+    a g of 0 has no tanh; the result is then None, before any division,
+    and the caller takes the log form of ``logcosh_sum_tanh``, which sums
+    log cosh per element on such rows.
+    """
+    n, k = w.shape
+    s = np.copysign(1.0, m.real)
+    s2 = -2.0 * s
+    # Exponents of the site factors: [site, z_i = +1 / -1, column], the
+    # hidden columns first and the product state last.
+    expo = np.empty((n, 2, k + 1), dtype=np.complex128)
+    plus = expo[:, 0]
+    np.multiply(w, s2, out=plus[:, :k])
+    np.add(b, w @ s, out=plus[:, k])
+    np.negative(plus, out=expo[:, 1])
+    expo[:, :, k] -= np.abs(plus[:, k : k + 1].real)
+    # The constants exp(-2 s m) / 2 and exp(i s . Im m), on the last site.
+    expo[-1, :, :k] += m * s2 - _LOG_2
+    expo[-1, :, k] += 1j * (s @ m.imag)
+    factors = np.exp(expo)
+    buf = np.empty((1 << n, k + 1), dtype=np.complex128)
+    buf[:2] = factors[-1]
+    size = 2
+    for i in range(n - 2, -1, -1):
+        np.multiply(buf[:size], factors[i, 1], out=buf[size : 2 * size])
+        buf[:size] *= factors[i, 0]
+        size *= 2
+    # g = (1 + x) / 2 with hidden units leading: the product over them
+    # then runs over contiguous rows.
+    g = np.add(buf[:, :k].T, 0.5, order="C")
+    prod = g.prod(axis=0)
+    if np.abs(prod).min() < _PRODUCT_FLOOR:
+        return None
+    sc = s[:, None]
+    t = np.divide(sc, g)
+    t -= sc
+    prod *= buf[:, k]
+    return prod, t.T
 
 
 def local_energy_batch(zmat, t, b, w, flips, elements, flip_sites):

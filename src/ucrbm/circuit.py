@@ -202,12 +202,24 @@ def recombined_statevector(params: RbmParams, table: BranchTable) -> StateVector
 def measure_indices(
     state: StateVector, shots: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Born-rule samples from |amplitude|^2, returned as (shots,) basis indices."""
+    """Born-rule samples from |amplitude|^2, returned as (shots,) basis indices.
+
+    The draws, and the uniforms taken from ``rng``, are those of
+    ``rng.choice(2**N, size=shots, p=probs / probs.sum())``: the same
+    normalized cdf and the same ``searchsorted``, run on the uniforms in
+    sorted order, so that each search starts where the last one ended,
+    and scattered back into sample order.
+    """
     if abs(state.norm - 1.0) > 1e-8:
         raise ValueError("measurement expects a normalized state")
     probs = state.probabilities()
-    probs = probs / probs.sum()
-    return rng.choice(probs.shape[0], size=shots, p=probs)
+    cdf = np.cumsum(probs / probs.sum())
+    cdf /= cdf[-1]
+    uniforms = rng.random(shots)
+    order = np.argsort(uniforms)
+    index = np.empty(shots, dtype=np.int64)
+    index[order] = cdf.searchsorted(uniforms[order], side="right")
+    return index
 
 
 def measure_visible(

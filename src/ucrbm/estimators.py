@@ -16,11 +16,16 @@ and the energy come from one sample stream, one state preparation per sample,
 drawn serially from the caller's generator, so a seed fixes the result.
 
 Exact mode and vmc make one dense pass over the 2^N configurations
-(``exact_point``, which the solver also uses to try step sizes): one
-hidden-angle pass theta = m + zW and one expm1 per angle
-(``_kernels.logcosh_sum_tanh``) give both the amplitudes psi (sum log cosh
-theta, one log per row) and tanh theta for the derivative moments, and
-H psi comes from the ``apply_h`` gather.  Exact mode weighs every
+(``exact_point``, which the solver also uses to try step sizes).  It gives
+both the amplitudes psi and tanh theta for the derivative moments, in one
+of two lanes by ansatz (``rbm.dense_statevector``).  Unitary couplings
+take no theta pass: one doubling of per-site phase factors gives
+x = exp(-2 s theta) and the product-state factor on every row from N*M
+complex exponentials, and psi and tanh theta follow from 1 + x and 1 - x
+(``_kernels.unitary_amplitudes_tanh``).  Unrestricted couplings take
+theta = m + zW and one expm1 per angle (``_kernels.logcosh_sum_tanh``:
+sum log cosh theta with one log per row).  H psi comes from the
+``apply_h`` gather.  Exact mode weighs every
 configuration: e = conj(psi) H psi is p E_loc with no division, so no row
 of vanishing amplitude can enter as 0 * inf and none is dropped.
 
@@ -83,11 +88,10 @@ from .hamiltonians import PauliHamiltonian, apply_h, connected_states, connected
 from .rbm import (
     RbmParams,
     VariationalIndex,
+    dense_statevector,
     exact_statevector,
-    hidden_angles,
     log_amplitude,
     spin_rows,
-    statevector_from_angles,
 )
 from .spins import as_spins
 from .statevector import STATEVECTOR_CAP, StateVector, check_cap
@@ -500,8 +504,8 @@ class ExactPoint:
     """The dense pass of ``compute_a_c_exact`` and of vmc at ``params``: the
     float rows of ``all_spin_configs``, t = tanh of their hidden angles
     theta, the normalized psi, H psi, e = conj(psi) H psi and the energy
-    E = sum e.  One expm1 per angle gives both psi and t
-    (``statevector_from_angles``)."""
+    E = sum e.  One construction gives both psi and t
+    (``dense_statevector``)."""
 
     params: RbmParams
     zmat: np.ndarray
@@ -513,15 +517,15 @@ class ExactPoint:
 
 
 def exact_point(params: RbmParams, h: PauliHamiltonian) -> ExactPoint:
-    """One theta = m + zW pass over the 2^N configurations, with H psi from
-    the ``apply_h`` gather; ``energy.real`` is the exact energy."""
+    """One dense pass over the 2^N configurations (``dense_statevector``),
+    with H psi from the ``apply_h`` gather; ``energy.real`` is the exact
+    energy."""
     n = params.n_visible
     check_cap(n, STATEVECTOR_CAP)
-    zmat = spin_rows(n)
-    psi, t = statevector_from_angles(params, zmat, hidden_angles(params, zmat))
+    psi, t = dense_statevector(params)
     hpsi = apply_h(h, psi)
     e = psi.amplitudes.conj() * hpsi
-    return ExactPoint(params, zmat, t, psi, hpsi, e, complex(e.sum()))
+    return ExactPoint(params, spin_rows(n), t, psi, hpsi, e, complex(e.sum()))
 
 
 def compute_a_c_exact(
@@ -529,8 +533,8 @@ def compute_a_c_exact(
 ) -> SrSystem:
     """A and C with expectations taken over the exact statevector.
 
-    The dense pass (``exact_point``) gives psi and, from the same expm1 of
-    each hidden angle, tanh theta.  With p = |psi|^2 and e = conj(psi) H psi
+    The dense pass (``exact_point``) gives psi and, from the same
+    construction, tanh theta.  With p = |psi|^2 and e = conj(psi) H psi
     = p E_loc, the energy is E = sum e and F = sum conj(x) (e - p E) over
     the derivative columns x (``_moments``).  A ``point`` already evaluated
     at this very ``params`` object is reused.

@@ -250,21 +250,30 @@ def spin_rows(n: int) -> np.ndarray:
 def exact_statevector(params: RbmParams, cap: int = STATEVECTOR_CAP) -> StateVector:
     """Normalized dense statevector, amplitude of z at its big-endian index;
     ``cap`` is the one size-cap override (see ``expectation_exact``)."""
+    check_cap(params.n_visible, cap)
+    return dense_statevector(params)[0]
+
+
+def dense_statevector(params: RbmParams) -> tuple[StateVector, np.ndarray]:
+    """``exact_statevector`` with tanh of the hidden angles of the rows of
+    ``all_spin_configs``.  The one construction of the dense statevector, so
+    ``exact_statevector`` and the estimators' dense pass agree bitwise.
+
+    Two lanes, by ansatz.  Unitary couplings build no hidden-angle array:
+    one doubling of per-site phase factors gives both psi and tanh theta
+    from N*M complex exponentials (``_kernels.unitary_amplitudes_tanh``).
+    Unrestricted couplings, and unitary ones whose hidden product
+    underflows on some row, take theta = m + zW and one expm1 per angle
+    (``_kernels.logcosh_sum_tanh``).  The callers check the size cap.
+    """
     n = params.n_visible
-    check_cap(n, cap)
-    zmat = spin_rows(n)
-    return statevector_from_angles(params, zmat, hidden_angles(params, zmat))[0]
-
-
-def statevector_from_angles(
-    params: RbmParams, zmat: np.ndarray, theta: np.ndarray
-) -> tuple[StateVector, np.ndarray]:
-    """``exact_statevector`` from the float rows of ``all_spin_configs`` and
-    their hidden angles, with tanh of those angles: one expm1 per angle
-    gives both (``_kernels.logcosh_sum_tanh``).  The one construction of the
-    dense statevector, so ``exact_statevector`` and the estimators' dense
-    pass agree bitwise."""
-    logcosh_sum, t = _kernels.logcosh_sum_tanh(theta)
-    lp = zmat @ params.b + logcosh_sum
-    amps = np.exp(lp - lp.real.max())
-    return StateVector(params.n_visible, amps / np.linalg.norm(amps)), t
+    dense = None
+    if params.unitary_coupled:
+        dense = _kernels.unitary_amplitudes_tanh(params.b, params.m, params.w)
+    if dense is None:
+        zmat = spin_rows(n)
+        logcosh_sum, t = _kernels.logcosh_sum_tanh(hidden_angles(params, zmat))
+        lp = zmat @ params.b + logcosh_sum
+        dense = np.exp(lp - lp.real.max()), t
+    amps, t = dense
+    return StateVector(n, amps / np.linalg.norm(amps)), t

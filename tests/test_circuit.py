@@ -8,6 +8,7 @@ from ucrbm.circuit import (
     BranchTable,
     apply_hidden_block,
     enumerate_branches,
+    measure_indices,
     measure_visible,
     prepare_visible_product,
     project_hidden_outcome,
@@ -342,6 +343,21 @@ class TestMeasureVisible:
         expected = sv.probabilities() * n_shots
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         assert chi2 < scipy.stats.chi2.ppf(0.99, df=7)
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 10])
+    def test_indices_are_generator_choice_bitwise(self, n):
+        # the sorted-uniform search draws what Generator.choice draws and
+        # takes the same uniforms from the generator
+        for seed in range(3):
+            sv = exact_statevector(random_init(n, n, 0.5, seed, True))
+            probs = sv.probabilities()
+            for shots in (1, 7, 500, 4096):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = measure_indices(sv, shots, rng)
+                want = ref.choice(2**n, size=shots, p=probs / probs.sum())
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+                assert rng.random() == ref.random()
 
 
 class TestBranchTableValidation:

@@ -472,7 +472,8 @@ class TestVmcDensePass:
         assert est == system.energy
 
     def test_dense_pass_makes_no_tanh_call(self, monkeypatch):
-        # tanh theta comes from the amplitudes' expm1 (logcosh_sum_tanh)
+        # tanh theta comes from the dense pass that gives the amplitudes
+        # (unitary_amplitudes_tanh for these unitary couplings)
         def refused(*args, **kwargs):
             raise AssertionError("np.tanh called")
 
@@ -783,8 +784,10 @@ class TestBenchmarkHooks:
 
     def test_one_hidden_angle_pass_per_ensemble_step(self, monkeypatch):
         # the sampler takes theta once over the distinct readouts, and
-        # the draw's rows_of reads tanh theta from it: no second angle pass
+        # the draw's rows_of reads tanh theta from it: no second angle pass,
+        # neither in the estimators nor in the dense pass of ucrbm.rbm
         import ucrbm.circuit
+        import ucrbm.rbm
 
         calls = {}
 
@@ -798,7 +801,7 @@ class TestBenchmarkHooks:
             monkeypatch.setattr(module, "hidden_angles", counted)
 
         count(ucrbm.circuit)
-        count(ucrbm.estimators)
+        count(ucrbm.rbm)
         p, h = random_init(4, 3, 0.3, 0, True), build_tfi(4, 0.5)
         ite_run(p, h, IteConfig(mode="ensemble", n_steps=1, n_samples=300))
         assert calls == {"ucrbm.circuit": 1}
@@ -807,7 +810,7 @@ class TestBenchmarkHooks:
         # perfbench/tracer.py is to time the dense pass by wrapping
         # estimators.exact_point (vmc, and exact mode's step 0) and
         # solver.exact_point (exact mode's trial passes) by name.  Every
-        # dense pass builds its statevector in statevector_from_angles.
+        # dense pass builds its statevector in dense_statevector.
         import ucrbm.solver
 
         calls = {}
@@ -823,13 +826,13 @@ class TestBenchmarkHooks:
             monkeypatch.setattr(module, name, counted)
 
         count(ucrbm.estimators, "exact_point")
-        count(ucrbm.estimators, "statevector_from_angles")
+        count(ucrbm.estimators, "dense_statevector")
         count(ucrbm.solver, "exact_point")
         p, h = random_init(3, 2, 0.3, 0, True), build_tfi(3, 0.5)
         ite_run(p, h, IteConfig(mode="vmc", n_steps=1, n_samples=200))
         assert calls == {
             "ucrbm.estimators.exact_point": 1,
-            "ucrbm.estimators.statevector_from_angles": 1,
+            "ucrbm.estimators.dense_statevector": 1,
         }
         calls.clear()
         _, trace = ite_run(p, h, IteConfig(mode="exact", n_steps=3))
@@ -838,7 +841,7 @@ class TestBenchmarkHooks:
         assert calls == {
             "ucrbm.estimators.exact_point": 1,
             "ucrbm.solver.exact_point": trials,
-            "ucrbm.estimators.statevector_from_angles": 1 + trials,
+            "ucrbm.estimators.dense_statevector": 1 + trials,
         }
 
 

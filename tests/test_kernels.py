@@ -15,7 +15,7 @@ from ucrbm.hamiltonians import (
     connected_structure,
     load_bundled,
 )
-from ucrbm.rbm import RbmParams, hidden_angles, random_init
+from ucrbm.rbm import RbmParams, hidden_angles, log_amplitude_batch, random_init
 from ucrbm.spins import all_spin_configs
 
 MODELS = {
@@ -222,9 +222,11 @@ class TestDenseLocalEnergy:
     # vmc reads each row's local energy from its dense pass as
     # (H psi)(z)/psi(z).  The oracle is the flipped-site kernel of the
     # ensemble mode for unitary couplings; the kernel reads no Re w, so
-    # unrestricted parameters take the log-amplitude oracle
-    # ``local_observable``.  Every basis row is read through the vmc draw's
-    # ``rows_of``.
+    # unrestricted parameters take the log-amplitude oracle: the
+    # per-element ``log_amplitude_batch`` of every connected row
+    # z * flips[g], weighted by the elements H(z, z * flips[g]), as
+    # ``local_observable`` sums them one row at a time.  Every basis row is
+    # read through the vmc draw's ``rows_of``.
     @pytest.mark.parametrize("scale", [0.1, 0.7, 1.5])
     @pytest.mark.parametrize("unitary", [True, False])
     @pytest.mark.parametrize("model", sorted(DENSE_MODELS))
@@ -239,7 +241,13 @@ class TestDenseLocalEnergy:
             if unitary:
                 want = _local_energies(params, h, rows, np.tanh(hidden_angles(params, rows)))
             else:
-                want = np.array([local_observable(params, z, h) for z in rows])
+                struct = connected_structure(h)
+                base = log_amplitude_batch(params, rows)
+                ratios = np.stack(
+                    [np.exp(log_amplitude_batch(params, rows * f) - base) for f in struct.flips],
+                    axis=1,
+                )
+                want = (struct.elements(rows) * ratios).sum(axis=1)
             assert rows.shape[0] == index.shape[0]
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 

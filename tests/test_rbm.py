@@ -11,6 +11,7 @@ from ucrbm.errors import SizeCapError
 from ucrbm.rbm import (
     RbmParams,
     VariationalIndex,
+    dense_statevector,
     exact_statevector,
     hidden_angles,
     log_amplitude,
@@ -19,7 +20,6 @@ from ucrbm.rbm import (
     log_derivatives,
     r_factor,
     random_init,
-    statevector_from_angles,
 )
 from ucrbm.spins import all_spin_configs, index_to_spins, spins_to_index
 
@@ -167,13 +167,14 @@ class TestExactStatevector:
             validate(self)
 
         monkeypatch.setattr(StateVector, "__post_init__", counted)
-        sv, sv_t = statevector_from_angles(p, zmat, theta)
+        sv, sv_t = dense_statevector(p)
         assert len(checks) == 1
         assert np.array_equal(sv.amplitudes, two_pass.amplitudes)
         assert np.array_equal(sv_t, t)
         theta[3, 1] = np.nan
+        monkeypatch.setattr(rbm, "hidden_angles", lambda params, rows: theta)
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-            statevector_from_angles(p, zmat, theta)
+            dense_statevector(p)
 
     @pytest.mark.parametrize("scale", [0.1, 0.7, 1.5])
     @pytest.mark.parametrize("n", [3, 6])
@@ -189,6 +190,84 @@ class TestExactStatevector:
         lp = log_amplitude_batch(p, all_spin_configs(n))
         want = np.exp(lp - lp.real.max())
         assert np.abs(sv.amplitudes - want / np.linalg.norm(want)).max() <= 1e-13
+
+
+def assert_unitary_lane_matches_the_oracles(p):
+    """psi of the unitary-coupled lane within 1e-13 of the per-element
+    log-amplitude oracle, global phase included, and tanh theta against
+    np.tanh of the angles: absolute, widened by tanh's slope 1 - t^2,
+    which multiplies the rounding of theta."""
+    n = p.n_visible
+    sv, t = dense_statevector(p)
+    zmat = all_spin_configs(n).astype(np.float64)
+    lp = log_amplitude_batch(p, zmat)
+    want = np.exp(lp - lp.real.max())
+    want /= np.linalg.norm(want)
+    assert np.abs(sv.amplitudes - want).max() <= 1e-13
+    tanh = np.tanh(hidden_angles(p, zmat))
+    assert t.shape == tanh.shape
+    assert np.all(np.abs(t - tanh) <= 1e-13 * (1.0 + np.abs(tanh) ** 2))
+    return sv, t, want
+
+
+class TestUnitaryDenseLane:
+    # unitary couplings build psi and tanh theta by doubling per-site
+    # phase factors, with no hidden-angle array; unrestricted couplings
+    # keep the expm1 lane, which is the cross-check at the same (b, m, w)
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 3.0])
+    @pytest.mark.parametrize("alpha", [0, 1])
+    @pytest.mark.parametrize("n", [1, 3, 6, 10])
+    def test_matches_the_oracles_and_the_unrestricted_lane(self, n, alpha, scale):
+        p = random_init(n, alpha * n, scale, 7 * n + alpha, True)
+        sv, t, _ = assert_unitary_lane_matches_the_oracles(p)
+        same = RbmParams(p.b, p.m, p.w, unitary_coupled=False)
+        sv_u, t_u = dense_statevector(same)
+        assert np.abs(sv.amplitudes - sv_u.amplitudes).max() <= 1e-13
+        assert np.all(np.abs(t - t_u) <= 1e-13 * (1.0 + np.abs(t_u) ** 2))
+
+    @staticmethod
+    def log_hidden_product(p):
+        """log |prod_j cosh(theta_j) exp(-s_j theta_j)| per row, the product
+        whose underflow sends the lane to its log form."""
+        from ucrbm import _kernels
+
+        theta = hidden_angles(p, all_spin_configs(p.n_visible).astype(np.float64))
+        s = np.where(p.m.real >= 0.0, 1.0, -1.0)
+        return (_kernels.logcosh(theta) - s * theta).real.sum(axis=1)
+
+    def test_every_row_underflowing_takes_the_log_form(self):
+        # Re m = 0 and Im m near pi/2: every cosh theta_j is near 0, and
+        # so is every row's product, far below the smallest normal float
+        rng = np.random.default_rng(3)
+        n, m = 3, 128
+        p = RbmParams(
+            b=0.3 * rng.normal(size=n) + 0.3j * rng.normal(size=n),
+            m=1j * (np.pi / 2 + 1e-3 * rng.normal(size=m)),
+            w=1e-4j * rng.normal(size=(n, m)),
+            unitary_coupled=True,
+        )
+        assert np.all(self.log_hidden_product(p) < np.log(np.finfo(float).tiny))
+        assert_unitary_lane_matches_the_oracles(p)
+
+    def test_one_underflowing_row_keeps_its_relative_precision(self):
+        # theta_j(+1, ..., +1) = i pi / 2 for every j: that row's product
+        # falls below the lane's floor, while the other rows' products are
+        # of order 1; its amplitude, about 1e-195 of theirs, stays exact
+        from ucrbm import _kernels
+
+        rng = np.random.default_rng(5)
+        n, m = 4, 12
+        omega = rng.uniform(0.2, 0.35, size=(n, m))
+        p = RbmParams(
+            b=0.2 * rng.normal(size=n) + 0.2j * rng.normal(size=n),
+            m=1j * (np.pi / 2 - omega.sum(axis=0)),
+            w=1j * omega,
+            unitary_coupled=True,
+        )
+        logs = self.log_hidden_product(p)
+        assert logs[0] < np.log(_kernels._PRODUCT_FLOOR) and np.all(logs[1:] > -50.0)
+        sv, _, want = assert_unitary_lane_matches_the_oracles(p)
+        assert abs(np.log(sv.amplitudes[0] / want[0])) <= 1e-12
 
 
 class TestLogDerivatives:
