@@ -2,33 +2,33 @@
 
 Kernel inputs are plain arrays; the wrapping modules own validation.
 
-The dense pass of exact mode and vmc takes one of two lanes, by ansatz.
-``unitary_amplitudes_tanh`` serves unitary couplings (Re w = 0) with no
-hidden-angle array: every x_j = exp(-2 s_j theta_j) is a constant times a
-product of per-site unit-modulus factors, so one doubling over the sites
-gives x and the product-state factor on all 2^N rows, from N*M complex
-exponentials in all, and psi and tanh theta follow from 1 + x and 1 - x.
-``logcosh_sum_tanh`` serves unrestricted couplings: from one expm1 per
-hidden angle it gives each row's sum of log cosh theta, for the
-amplitudes, and tanh theta, for the derivative moments.  ``logcosh`` is
-the principal branch that ``rbm.log_amplitude_batch`` sums for the
-log-amplitudes of given rows.  ``local_energy_batch`` serves the ensemble
-mode, which has no statevector: it forms each amplitude ratio
+The dense pass of exact mode and vmc has one construction for every
+coupling, ``amplitudes_tanh``, with no hidden-angle array: every
+x_j = exp(-2 s_j theta_j) is a constant times a product of per-site
+factors, so one doubling over the sites gives x and the product-state
+factor on all 2^N rows, from N*M complex exponentials in all, and psi and
+tanh theta follow from 1 + x and 1 - x.  Where a row's hidden product
+leaves the band that the doubling takes as it is, the caller takes the
+whole pass in the per-element log form instead: ``logcosh``, the
+principal branch that ``rbm.log_amplitude_batch`` sums for the
+log-amplitudes of given rows, and np.tanh.  ``local_energy_batch`` serves
+the ensemble mode, which has no statevector: it forms each amplitude ratio
 psi(z')/psi(z) from the flipped sites alone (the cached-angle update of
 Carleo & Troyer, Science 355, 602 (2017)); exact mode and vmc gather H psi
-from the full statevector instead.  It takes t = tanh(theta), which the caller computes
-once and feeds to the derivative moments too.
+from the full statevector instead.  It takes t = tanh(theta), which the
+caller computes once and feeds to the derivative moments too.
 
-The kernel has one lane, the unitary-coupled one (Re w = 0), because the
-ensemble mode takes unitary couplings only: the paper's protocol prepares
-no other RBM.  The coupling sums over the flipped sites are then imaginary,
-so each hidden factor of the ratio needs only cos/sin and cannot overflow.
-Flipping site i shifts hidden phase j by 2 Im w_ij z_i, so cos/sin of every
-shift come from per-step (M, N + 1) tables of cos/sin(2 Im w): a sign flip
-for a group's first site and angle addition for each further one, with no
-trig per row.  Each factor is written in real arithmetic into one
-preallocated array; the bias exponent is summed over the flipped sites
-before its one exp, so it overflows only where the ratio does.
+``local_energy_batch`` has one lane, the unitary-coupled one (Re w = 0),
+because the ensemble mode takes unitary couplings only: the paper's
+protocol prepares no other RBM.  The coupling sums over the flipped sites
+are then imaginary, so each hidden factor of the ratio needs only cos/sin
+and cannot overflow.  Flipping site i shifts hidden phase j by
+2 Im w_ij z_i, so cos/sin of every shift come from per-step (M, N + 1)
+tables of cos/sin(2 Im w): a sign flip for a group's first site and angle
+addition for each further one, with no trig per row.  Each factor is
+written in real arithmetic into one preallocated array; the bias exponent
+is summed over the flipped sites before its one exp, so it overflows only
+where the ratio does.
 """
 
 from __future__ import annotations
@@ -38,12 +38,12 @@ import numpy as np
 BACKEND = "numpy"
 
 _LOG_HALF = float(np.log(0.5))
-_TINY = np.finfo(np.float64).tiny  # smallest normal float
 _LOG_2 = float(np.log(2.0))
-# Smallest hidden product the unitary-coupled lane takes as it is: the
-# largest amplitude is then at least this, so the squared norm stays a
-# normal float.
+# The band of hidden products that the dense doubling takes as it is: the
+# largest amplitude then lies in it too, so the squared norm stays a normal
+# float.
 _PRODUCT_FLOOR = 2.0**-500
+_PRODUCT_CEILING = 2.0**500
 
 
 def logcosh(x: np.ndarray) -> np.ndarray:
@@ -54,65 +54,40 @@ def logcosh(x: np.ndarray) -> np.ndarray:
     return sx + np.log(1.0 + np.exp(-2.0 * sx)) + _LOG_HALF
 
 
-def logcosh_sum_tanh(theta):
-    """(sum_j log cosh theta_j per row, tanh theta) of a (K, M) array of
-    hidden angles, both from one expm1 per angle.
-
-    With s = sign Re theta (+1 at +-0, as in ``logcosh``) and
-    g = exp(-s theta) cosh theta = 1 + expm1(-2 s theta) / 2,
-    log cosh theta = s theta + log g and tanh theta =
-    -s expm1(-2 s theta) / (2 g), to full relative precision at the
-    smallest angles (the exp form s (1 / g - 1) gives 0 for tanh 1e-300).
-    A row's sum therefore takes one log, of the product of its g, and its
-    imaginary part is defined only modulo 2 pi, which exp does not see.
-    |g| <= 1, so the product cannot overflow; a row whose product falls
-    below the smallest normal float (many angles near i pi/2) takes the
-    per-element sum instead.
-    """
-    s = np.where(theta.real >= 0.0, 1.0, -1.0)
-    x = theta * (-2.0 * s)
-    half = np.expm1(x)
-    half *= 0.5
-    g = half + 1.0
-    t = half / g
-    t *= -s
-    prod = g.prod(axis=1)
-    small = np.abs(prod) < _TINY
-    prod[small] = 1.0
-    total = np.log(prod) - 0.5 * x.sum(axis=1)
-    if small.any():
-        total[small] = logcosh(theta[small]).sum(axis=1)
-    return total, t
-
-
-def unitary_amplitudes_tanh(b, m, w):
+def amplitudes_tanh(b, m, w):
     """(amplitudes up to a positive factor, tanh theta) on the 2^N big-endian
-    rows of ``all_spin_configs`` for a unitary-coupled RBM (Re w = 0, not
-    read); tanh theta is the (2^N, M) transpose of an (M, 2^N) array.
-    None where a row's hidden product underflows (see below).
+    rows of ``all_spin_configs`` for any complex couplings; tanh theta is the
+    (2^N, M) transpose of an (M, 2^N) array.  None where a row's hidden
+    product leaves the band that the doubling takes as it is (see below).
 
     With s_j = sign Re m_j, cosh theta_j = exp(s_j theta_j) (1 + x_j) / 2 and
-    x_j = exp(-2 s_j theta_j), |x_j| <= 1.  As Re theta_j = Re m_j on every
-    row, x_j = exp(-2 s_j m_j) prod_i exp(-2 s_j w_ij z_i), a product of
-    unit-modulus site factors, and
+    x_j = exp(-2 s_j theta_j) = exp(-2 s_j m_j) prod_i exp(-2 s_j w_ij z_i),
+    a constant times a product of per-site factors, and
     psi = exp(sum_j s_j m_j) exp(a . z) prod_j (1 + x_j) / 2 with
     a_i = b_i + sum_j s_j w_ij.  One buffer holds x_j / 2 and the product
-    state exp(a_i z_i - |Re a_i|), whose factors do not exceed 1 either:
-    site by site, from the last (least significant) to the first, its
-    filled rows are copied times the z_i = -1 factors into the next rows
-    and scaled in place by the z_i = +1 factors.  The constants
-    exp(-2 s m) / 2 and exp(i sum_j s_j Im m_j) ride on the last site's
-    factors; exp(sum_j s_j Re m_j + sum_i |Re a_i|) > 0 is dropped.  Then
+    state exp(a_i z_i - |Re a_i|), whose factors do not exceed 1: site by
+    site, from the last (least significant) to the first, its filled rows
+    are copied times the z_i = -1 factors into the next rows and scaled in
+    place by the z_i = +1 factors.  The constants exp(-2 s m) / 2 and
+    exp(i sum_j s_j Im m_j) ride on the last site's factors;
+    exp(sum_j s_j Re m_j + sum_i |Re a_i|) > 0 is dropped.  Then
     tanh theta = s (1 - x) / (1 + x) = s / g - s with g = (1 + x) / 2.
     Near theta = 0 that difference loses the relative precision of
     tanh theta where |theta| is below about 1e-8, while its absolute error
     stays about eps.
 
-    A row whose product of g falls below ``_PRODUCT_FLOOR`` (several hidden
-    units with cosh theta near 0) would lose its relative precision, and
-    a g of 0 has no tanh; the result is then None, before any division,
-    and the caller takes the log form of ``logcosh_sum_tanh``, which sums
-    log cosh per element on such rows.
+    For unitary couplings (Re w = 0) Re theta_j = Re m_j on every row, so
+    the site factors of x have unit modulus and |x_j| <= 1.  Otherwise
+    |x_j| can exceed 1, and for large |Re w| the factors and their
+    products overflow on the way; the caller runs the kernel under
+    ``np.errstate(over="ignore", invalid="ignore")``.
+
+    Every row's product of g must be finite and lie in [``_PRODUCT_FLOOR``,
+    ``_PRODUCT_CEILING``]: below it (several hidden units with cosh theta
+    near 0) the row would lose its relative precision, a g of 0 has no
+    tanh, and above it the squared norm could overflow.  Otherwise the
+    result is None, before any division, and the caller takes the
+    per-element log form.
     """
     n, k = w.shape
     s = np.copysign(1.0, m.real)
@@ -140,7 +115,9 @@ def unitary_amplitudes_tanh(b, m, w):
     # then runs over contiguous rows.
     g = np.add(buf[:, :k].T, 0.5, order="C")
     prod = g.prod(axis=0)
-    if np.abs(prod).min() < _PRODUCT_FLOOR:
+    mag = np.abs(prod)
+    # min and max propagate NaN, which fails both comparisons
+    if not (mag.min() >= _PRODUCT_FLOOR and mag.max() <= _PRODUCT_CEILING):
         return None
     sc = s[:, None]
     t = np.divide(sc, g)

@@ -17,17 +17,17 @@ drawn serially from the caller's generator, so a seed fixes the result.
 
 Exact mode and vmc make one dense pass over the 2^N configurations
 (``exact_point``, which the solver also uses to try step sizes).  It gives
-both the amplitudes psi and tanh theta for the derivative moments, in one
-of two lanes by ansatz (``rbm.dense_statevector``).  Unitary couplings
-take no theta pass: one doubling of per-site phase factors gives
+both the amplitudes psi and tanh theta for the derivative moments, from
+one construction for every coupling (``rbm.dense_statevector``) with no
+theta pass: one doubling of per-site factors gives
 x = exp(-2 s theta) and the product-state factor on every row from N*M
 complex exponentials, and psi and tanh theta follow from 1 + x and 1 - x
-(``_kernels.unitary_amplitudes_tanh``).  Unrestricted couplings take
-theta = m + zW and one expm1 per angle (``_kernels.logcosh_sum_tanh``:
-sum log cosh theta with one log per row).  H psi comes from the
-``apply_h`` gather.  Exact mode weighs every
-configuration: e = conj(psi) H psi is p E_loc with no division, so no row
-of vanishing amplitude can enter as 0 * inf and none is dropped.
+(``_kernels.amplitudes_tanh``).  Where a row's hidden product leaves the
+band the doubling takes as it is, the whole pass takes the per-element
+log form (theta = m + zW, sum log cosh theta and np.tanh).  H psi comes
+from the ``apply_h`` gather.  Exact mode weighs every configuration:
+e = conj(psi) H psi is p E_loc with no division, so no row of vanishing
+amplitude can enter as 0 * inf and none is dropped.
 
 The two sampled modes differ only in how they draw (``_draw_samples``, the
 one place that reads the mode).  Each draw is a ``_Draw``: per sample a

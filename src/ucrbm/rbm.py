@@ -12,7 +12,7 @@ visible-hidden entangling operation a ZZ-phase gate in the circuit picture.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,6 +63,22 @@ class RbmParams:
         return self.m.shape[0]
 
 
+@lru_cache(maxsize=None)
+def _unflatten_gather(n: int, m: int, unitary_coupled: bool) -> np.ndarray:
+    """Read-only slots of the interleaved (Re, Im) float pairs of [b, m, w],
+    w row-major, so that one gather lays out the complex parameters; built
+    once per (N, M, ansatz).  Without Re(w) slots the Im(w) slot stands in
+    (``VariationalIndex.unflatten`` zeroes it)."""
+    i, j = np.divmod(np.arange(n * m), m)
+    w_im = 2 * n + 2 * m + j * n + i
+    w_re = w_im if unitary_coupled else w_im + n * m
+    re = np.concatenate([np.arange(n), 2 * n + np.arange(m), w_re])
+    im = np.concatenate([n + np.arange(n), 2 * n + m + np.arange(m), w_im])
+    gather = np.stack([re, im], axis=1).ravel()
+    gather.flags.writeable = False
+    return gather
+
+
 class VariationalIndex:
     """Fixed ordering of the independent real degrees of freedom.
 
@@ -79,6 +95,7 @@ class VariationalIndex:
         self.unitary_coupled = unitary_coupled
         n_w = n_visible * n_hidden
         self.size = 2 * n_visible + 2 * n_hidden + (n_w if unitary_coupled else 2 * n_w)
+        self._gather = _unflatten_gather(n_visible, n_hidden, unitary_coupled)
 
     @classmethod
     def for_params(cls, params: RbmParams) -> "VariationalIndex":
@@ -124,19 +141,6 @@ class VariationalIndex:
         if not self.unitary_coupled:
             parts.append(params.w.real.T.ravel())
         return np.concatenate(parts)
-
-    @cached_property
-    def _gather(self) -> np.ndarray:
-        """Slots of the interleaved (Re, Im) float pairs of [b, m, w], w
-        row-major, so that one gather lays out the complex parameters.
-        Without Re(w) slots the Im(w) slot stands in (``unflatten`` zeroes it)."""
-        n, m = self.n_visible, self.n_hidden
-        i, j = np.divmod(np.arange(n * m), m)
-        w_im = 2 * n + 2 * m + j * n + i
-        w_re = w_im if self.unitary_coupled else w_im + n * m
-        re = np.concatenate([np.arange(n), 2 * n + np.arange(m), w_re])
-        im = np.concatenate([n + np.arange(n), 2 * n + m + np.arange(m), w_im])
-        return np.stack([re, im], axis=1).ravel()
 
     def unflatten(self, vec: np.ndarray) -> RbmParams:
         vec = np.asarray(vec, dtype=np.float64)
@@ -259,21 +263,23 @@ def dense_statevector(params: RbmParams) -> tuple[StateVector, np.ndarray]:
     ``all_spin_configs``.  The one construction of the dense statevector, so
     ``exact_statevector`` and the estimators' dense pass agree bitwise.
 
-    Two lanes, by ansatz.  Unitary couplings build no hidden-angle array:
-    one doubling of per-site phase factors gives both psi and tanh theta
-    from N*M complex exponentials (``_kernels.unitary_amplitudes_tanh``).
-    Unrestricted couplings, and unitary ones whose hidden product
-    underflows on some row, take theta = m + zW and one expm1 per angle
-    (``_kernels.logcosh_sum_tanh``).  The callers check the size cap.
+    One construction for every coupling: a doubling of per-site factors
+    gives both psi and tanh theta from N*M complex exponentials, with no
+    hidden-angle array (``_kernels.amplitudes_tanh``).  Where some row's
+    hidden product leaves the band the doubling takes as it is, the whole
+    pass takes the per-element log form of ``log_amplitude_batch`` and
+    np.tanh of ``hidden_angles``.  Both run with overflow and invalid
+    operations silenced: the doubling's band check and the StateVector's
+    finite check refuse what matters, so finite parameters raise no
+    RuntimeWarning.  The callers
+    check the size cap.
     """
     n = params.n_visible
-    dense = None
-    if params.unitary_coupled:
-        dense = _kernels.unitary_amplitudes_tanh(params.b, params.m, params.w)
-    if dense is None:
-        zmat = spin_rows(n)
-        logcosh_sum, t = _kernels.logcosh_sum_tanh(hidden_angles(params, zmat))
-        lp = zmat @ params.b + logcosh_sum
-        dense = np.exp(lp - lp.real.max()), t
-    amps, t = dense
-    return StateVector(n, amps / np.linalg.norm(amps)), t
+    with np.errstate(over="ignore", invalid="ignore"):
+        dense = _kernels.amplitudes_tanh(params.b, params.m, params.w)
+        if dense is None:
+            zmat = spin_rows(n)
+            lp = log_amplitude_batch(params, zmat)
+            dense = np.exp(lp - lp.real.max()), np.tanh(hidden_angles(params, zmat))
+        amps, t = dense
+        return StateVector(n, amps / np.linalg.norm(amps)), t

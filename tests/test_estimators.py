@@ -473,13 +473,14 @@ class TestVmcDensePass:
 
     def test_dense_pass_makes_no_tanh_call(self, monkeypatch):
         # tanh theta comes from the dense pass that gives the amplitudes
-        # (unitary_amplitudes_tanh for these unitary couplings)
+        # (amplitudes_tanh, for either ansatz)
         def refused(*args, **kwargs):
             raise AssertionError("np.tanh called")
 
         p, h = random_init(4, 3, 0.4, 2, True), build_tfi(4, 0.5)
         monkeypatch.setattr(np, "tanh", refused)
         compute_a_c_exact(p, h)
+        compute_a_c_exact(random_init(4, 3, 0.4, 2, False), h)
         compute_a_c_sampled(p, h, 300, np.random.default_rng(0), mode="vmc")
         # the patch is live: the ensemble mode still calls np.tanh
         with pytest.raises(AssertionError, match="np.tanh called"):

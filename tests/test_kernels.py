@@ -41,47 +41,6 @@ class TestLogcosh:
         assert out[0].real == pytest.approx(1000.0 - np.log(2.0))
 
 
-class TestLogcoshSumTanh:
-    # The dense pass's one expm1 per angle against the per-element forms:
-    # the row sum of the principal-branch logcosh (its imaginary part only
-    # modulo 2 pi) and np.tanh.  The exp form s (1 / g - 1) of tanh would
-    # fail at 1e-300, where it returns 0.
-    SPECIAL = [1e-300, 0.0, -0.0, 1000.0 + 0.3j, -2000.0 + 1.0j, 0.5j * np.pi, 0.2 + 0.5j * np.pi]
-
-    @staticmethod
-    def assert_matches_per_element(theta):
-        total, t = _kernels.logcosh_sum_tanh(theta)
-        want = _kernels.logcosh(theta).sum(axis=1)
-        assert np.all(np.abs(total.real - want.real) <= 1e-12)
-        assert np.all(np.abs(np.exp(1j * (total.imag - want.imag)) - 1.0) <= 1e-14)
-        tanh = np.tanh(theta)
-        assert np.all(np.abs(t - tanh) <= 1e-13 * np.abs(tanh))
-
-    def test_matches_logcosh_sum_and_tanh(self):
-        rng = np.random.default_rng(0)
-        theta = rng.normal(size=(64, 7)) + 1j * rng.normal(size=(64, 7))
-        theta = np.vstack([theta, self.SPECIAL])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            self.assert_matches_per_element(theta)
-
-    def test_long_rows_do_not_overflow(self):
-        # |g| <= 1, so a product of 2000 factors near 1 stays finite
-        self.assert_matches_per_element(np.full((2, 2000), 1e-3 + 1e-3j))
-
-    def test_underflowing_row_takes_the_per_element_sum(self):
-        # cosh(i pi/2) is about 6e-17, so the product of 24 such g is below
-        # the smallest normal float; only that row falls back
-        rng = np.random.default_rng(1)
-        theta = np.vstack([np.full(24, 0.5j * np.pi), rng.normal(size=24) + 0.5j])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            total, _ = _kernels.logcosh_sum_tanh(theta)
-            self.assert_matches_per_element(theta)
-        assert np.all(np.isfinite(total))
-        assert total[0] == _kernels.logcosh(theta[:1]).sum(axis=1)[0]
-
-
 def assert_matches_oracle(params, h):
     """The batched local energies of every configuration against the
     per-configuration log-amplitude oracle, to 1e-10 relative per row."""

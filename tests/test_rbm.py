@@ -1,4 +1,5 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -148,16 +149,22 @@ class TestExactStatevector:
 
     def test_one_validated_construction(self, monkeypatch):
         # normalizing before the one StateVector keeps the amplitudes of
-        # StateVector(...).normalized() bitwise, with one finite check
+        # StateVector(...).normalized() bitwise, with one finite check, in
+        # both forms of the pass: the doubling, and the per-element log form
+        # for parameters whose hidden products leave the doubling's band
         from ucrbm import _kernels
         from ucrbm.statevector import StateVector
 
-        p = random_init(4, 3, 0.4, 6, False)
         zmat = all_spin_configs(4).astype(np.float64)
-        theta = hidden_angles(p, zmat)
-        logcosh_sum, t = _kernels.logcosh_sum_tanh(theta)
-        lp = zmat @ p.b + logcosh_sum
-        two_pass = StateVector(4, np.exp(lp - lp.real.max())).normalized()
+        p = random_init(4, 3, 0.4, 6, False)
+        amps, t = _kernels.amplitudes_tanh(p.b, p.m, p.w)
+        doubled = StateVector(4, amps).normalized()
+        big = random_init(4, 3, 100.0, 6, False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _kernels.amplitudes_tanh(big.b, big.m, big.w) is None
+        theta = hidden_angles(big, zmat)
+        lp = zmat @ big.b + _kernels.logcosh(theta).sum(axis=1)
+        log_form = StateVector(4, np.exp(lp - lp.real.max())).normalized()
 
         checks = []
         validate = StateVector.__post_init__
@@ -167,14 +174,17 @@ class TestExactStatevector:
             validate(self)
 
         monkeypatch.setattr(StateVector, "__post_init__", counted)
-        sv, sv_t = dense_statevector(p)
-        assert len(checks) == 1
-        assert np.array_equal(sv.amplitudes, two_pass.amplitudes)
-        assert np.array_equal(sv_t, t)
+        for params, want, want_t in ((p, doubled, t), (big, log_form, np.tanh(theta))):
+            checks.clear()
+            sv, sv_t = dense_statevector(params)
+            assert len(checks) == 1
+            assert np.array_equal(sv.amplitudes, want.amplitudes)
+            assert np.array_equal(sv_t, want_t)
+        # a NaN angle on the log-form path reaches the one finite check
         theta[3, 1] = np.nan
         monkeypatch.setattr(rbm, "hidden_angles", lambda params, rows: theta)
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-            dense_statevector(p)
+        with pytest.raises(ValueError, match="non-finite"):
+            dense_statevector(big)
 
     @pytest.mark.parametrize("scale", [0.1, 0.7, 1.5])
     @pytest.mark.parametrize("n", [3, 6])
@@ -192,11 +202,11 @@ class TestExactStatevector:
         assert np.abs(sv.amplitudes - want / np.linalg.norm(want)).max() <= 1e-13
 
 
-def assert_unitary_lane_matches_the_oracles(p):
-    """psi of the unitary-coupled lane within 1e-13 of the per-element
-    log-amplitude oracle, global phase included, and tanh theta against
-    np.tanh of the angles: absolute, widened by tanh's slope 1 - t^2,
-    which multiplies the rounding of theta."""
+def assert_dense_pass_matches_the_oracles(p):
+    """psi of the dense pass within 1e-13 of the per-element log-amplitude
+    oracle, global phase included, and tanh theta against np.tanh of the
+    angles: absolute, widened by tanh's slope 1 - t^2, which multiplies the
+    rounding of theta."""
     n = p.n_visible
     sv, t = dense_statevector(p)
     zmat = all_spin_configs(n).astype(np.float64)
@@ -211,24 +221,56 @@ def assert_unitary_lane_matches_the_oracles(p):
 
 
 class TestUnitaryDenseLane:
-    # unitary couplings build psi and tanh theta by doubling per-site
-    # phase factors, with no hidden-angle array; unrestricted couplings
-    # keep the expm1 lane, which is the cross-check at the same (b, m, w)
+    # The doubling of per-site factors, first written for unitary
+    # couplings, builds psi and tanh theta for every coupling, with no
+    # hidden-angle array; the ansatz flag does not change it.
     @pytest.mark.parametrize("scale", [0.1, 1.0, 3.0])
-    @pytest.mark.parametrize("alpha", [0, 1])
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
     @pytest.mark.parametrize("n", [1, 3, 6, 10])
     def test_matches_the_oracles_and_the_unrestricted_lane(self, n, alpha, scale):
         p = random_init(n, alpha * n, scale, 7 * n + alpha, True)
-        sv, t, _ = assert_unitary_lane_matches_the_oracles(p)
+        sv, t, _ = assert_dense_pass_matches_the_oracles(p)
         same = RbmParams(p.b, p.m, p.w, unitary_coupled=False)
         sv_u, t_u = dense_statevector(same)
-        assert np.abs(sv.amplitudes - sv_u.amplitudes).max() <= 1e-13
-        assert np.all(np.abs(t - t_u) <= 1e-13 * (1.0 + np.abs(t_u) ** 2))
+        assert np.array_equal(sv.amplitudes, sv_u.amplitudes)
+        assert np.array_equal(t, t_u)
+
+    @pytest.mark.parametrize("scale", [0.05, 0.3, 1.0, 3.0])
+    @pytest.mark.parametrize("alpha", [0, 1, 2])
+    @pytest.mark.parametrize("n", [1, 3, 6, 10])
+    def test_unrestricted_couplings_match_the_oracles(self, n, alpha, scale):
+        # |x_j| may exceed 1 here, and no such case leaves the band
+        from ucrbm import _kernels
+
+        p = random_init(n, alpha * n, scale, 7 * n + alpha, False)
+        assert _kernels.amplitudes_tanh(p.b, p.m, p.w) is not None
+        assert_dense_pass_matches_the_oracles(p)
+
+    @pytest.mark.parametrize(
+        "re_w, m, scale", [(-10.0, 20, 0.0), (-400.0, 3, 0.0), (0.0, 6, 50.0), (0.0, 6, 1e300)]
+    )
+    def test_products_above_the_ceiling_take_the_log_form(self, re_w, m, scale):
+        # unrestricted couplings let |x_j| exceed 1.  Re w = -10 gives
+        # |g_j| near 2^28 on the rows with z_0 = +1, so 20 hidden units put
+        # their product near 2^556: finite, yet above the ceiling.  Re w =
+        # -400 overflows the site factors themselves, and random scales 50
+        # and 1e300 leave the band either way.  None of it may warn.
+        from ucrbm import _kernels
+
+        p = random_init(3, m, scale, 4, False)
+        w = p.w.copy()
+        w[0] += re_w
+        p = RbmParams(p.b, p.m + 0.01, w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _kernels.amplitudes_tanh(p.b, p.m, p.w) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_dense_pass_matches_the_oracles(p)
 
     @staticmethod
     def log_hidden_product(p):
         """log |prod_j cosh(theta_j) exp(-s_j theta_j)| per row, the product
-        whose underflow sends the lane to its log form."""
+        whose underflow sends the dense pass to its log form."""
         from ucrbm import _kernels
 
         theta = hidden_angles(p, all_spin_configs(p.n_visible).astype(np.float64))
@@ -247,11 +289,11 @@ class TestUnitaryDenseLane:
             unitary_coupled=True,
         )
         assert np.all(self.log_hidden_product(p) < np.log(np.finfo(float).tiny))
-        assert_unitary_lane_matches_the_oracles(p)
+        assert_dense_pass_matches_the_oracles(p)
 
     def test_one_underflowing_row_keeps_its_relative_precision(self):
         # theta_j(+1, ..., +1) = i pi / 2 for every j: that row's product
-        # falls below the lane's floor, while the other rows' products are
+        # falls below the doubling's floor, while the other rows' products are
         # of order 1; its amplitude, about 1e-195 of theirs, stays exact
         from ucrbm import _kernels
 
@@ -266,7 +308,7 @@ class TestUnitaryDenseLane:
         )
         logs = self.log_hidden_product(p)
         assert logs[0] < np.log(_kernels._PRODUCT_FLOOR) and np.all(logs[1:] > -50.0)
-        sv, _, want = assert_unitary_lane_matches_the_oracles(p)
+        sv, _, want = assert_dense_pass_matches_the_oracles(p)
         assert abs(np.log(sv.amplitudes[0] / want[0])) <= 1e-12
 
 
@@ -336,6 +378,13 @@ class TestVariationalIndex:
         assert VariationalIndex(3, 2, True).size == 2 * 3 + 2 * 2 + 6
         assert VariationalIndex(3, 2, False).size == 2 * 3 + 2 * 2 + 12
         assert len(VariationalIndex(3, 2, False).labels()) == 22
+
+    def test_indices_of_one_shape_share_one_gather(self):
+        # the unflatten gather is built once per (N, M, ansatz), read-only
+        a, b = VariationalIndex(4, 3, False), VariationalIndex(4, 3, False)
+        assert a._gather is b._gather
+        assert not a._gather.flags.writeable
+        assert VariationalIndex(4, 3, True)._gather is not a._gather
 
     def test_unflatten_never_writes_real_couplings_under_flag(self):
         rng = np.random.default_rng(3)
