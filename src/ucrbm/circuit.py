@@ -5,10 +5,14 @@ a hidden-block phase unitary, measured in the X basis, and dropped - so M
 hidden units never cost more than one extra qubit.  Accepting every
 measurement outcome and reweighting by the classical factors R_s(Re m_j)^2
 replaces post-selection.  ``enumerate_branches`` replays the gates for every
-one of the 2^M outcome histories; it is the only gate-level emulation and
-the exact branch decomposition used by the verification routines.  It
-requires unitary couplings (Re w = 0): unrestricted RBMs reach the protocol
-through the decoupling identities (``identities.rbm_to_unitary_coupled``).
+one of the 2^M outcome histories in one breadth-first walk over the hidden
+units, each branch splitting into + then - with its Born probability and
+weight as running products; it is the only gate-level emulation and the
+exact branch decomposition used by the verification routines.  Row k of its
+table is the history of index k, so ``verify_ensemble_identities`` pairs
+histories by the set bits of their row indices' XOR.  It requires unitary
+couplings (Re w = 0): unrestricted RBMs reach the protocol through the
+decoupling identities (``identities.rbm_to_unitary_coupled``).
 
 The ensemble estimators do not run this emulation: ``sample_protocol_batch``
 draws (s, z) from the factorized protocol law with no statevector and no
@@ -27,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalIntegrityError, ProtocolOrderError
-from .rbm import RbmParams, hidden_angles, r_factor
+from .rbm import RbmParams, hidden_angles, r_factor, spin_rows
 from .spins import all_spin_configs
 from .statevector import HIDDEN_CAP, IDENTITY_HIDDEN_CAP, STATEVECTOR_CAP
 from .statevector import StateVector, check_cap
@@ -77,15 +81,14 @@ def prepare_visible_product(params: RbmParams) -> StateVector:
 
 def block_phases(params: RbmParams, j: int) -> np.ndarray:
     """phi_j(z) = Im(m_j) + sum_i Im(w_ij) z_i over all 2^N configurations."""
-    zmat = all_spin_configs(params.n_visible).astype(np.float64)
-    return params.m[j].imag + zmat @ params.w[:, j].imag
+    return params.m[j].imag + spin_rows(params.n_visible) @ params.w[:, j].imag
 
 
-def _require_unitary(params: RbmParams) -> None:
+def _require_unitary(params: RbmParams, what: str) -> None:
     if not params.unitary_coupled:
         raise ValueError(
-            "the gate-level emulation requires unitary couplings; convert an "
-            "unrestricted RBM with identities.rbm_to_unitary_coupled"
+            f"{what} requires unitary couplings; convert an unrestricted RBM "
+            "with identities.rbm_to_unitary_coupled"
         )
 
 
@@ -98,7 +101,7 @@ def apply_hidden_block(state: StateVector, params: RbmParams, j: int) -> StateVe
     The ancilla must still be in |+> - i.e. this block must come right after
     attaching a fresh ancilla.
     """
-    _require_unitary(params)
+    _require_unitary(params, "the gate-level emulation")
     n = params.n_visible
     if state.n_qubits != n + 1:
         raise ValueError("expected a visible register plus one ancilla")
@@ -129,57 +132,44 @@ def project_hidden_outcome(state: StateVector, s: int) -> tuple[StateVector, flo
     grid = state.amplitudes.reshape(1 << n, 2)
     amps = (grid[:, 0] + s * grid[:, 1]) / np.sqrt(2.0)
     prob = float(np.linalg.norm(amps) ** 2)
-    if prob > 0.0:
-        amps = amps / np.sqrt(prob)
+    amps = amps / np.sqrt(prob) if prob > 0.0 else np.zeros_like(amps)
     return StateVector(n, amps), prob
-
-
-def _history_weight(params: RbmParams, s_vec) -> float:
-    """prod_j R_{s_j}(Re m_j)^2 of one outcome history."""
-    weight = 1.0
-    for j in range(params.n_hidden):
-        weight *= r_factor(params.m[j].real, int(s_vec[j])) ** 2
-    return weight
 
 
 def enumerate_branches(params: RbmParams) -> BranchTable:
     """Replay the protocol for all 2^M forced outcome histories, M <= HIDDEN_CAP,
     on N + 1 <= STATEVECTOR_CAP qubits, reusing shared prefixes of the gate path.
 
-    Unitary couplings only.  The walk takes + before - at every hidden unit,
-    so row k is the history of index k, (+,...,+) first.
+    Unitary couplings only.  The walk is breadth-first over the hidden units:
+    every branch attaches a fresh ancilla, applies block j and splits into the
+    outcomes + then -, carrying its Born probability and its weight
+    prod_j R_{s_j}(Re m_j)^2 as running products.  Row k is therefore the
+    history of index k, (+,...,+) first, with hidden unit 0 the most
+    significant bit, and ``s`` is ``all_spin_configs(M)``; rows k and l
+    differ exactly in the set bits of k ^ l.  An unreachable branch stays
+    the zero vector, with probability 0, through the remaining blocks.
     """
-    _require_unitary(params)
+    _require_unitary(params, "the gate-level emulation")
     m_hidden = params.n_hidden
     check_cap(m_hidden, HIDDEN_CAP, "branch enumeration over {} hidden units")
     check_cap(params.n_visible + 1, STATEVECTOR_CAP)
 
-    rows: list[tuple[np.ndarray, float, float, StateVector]] = []
-
-    def walk(j: int, state: StateVector, prefix, prob: float):
-        if j == m_hidden:
-            s_vec = np.array(prefix, dtype=np.int8)
-            rows.append((s_vec, prob, _history_weight(params, s_vec), state))
-            return
-        if prob == 0.0:
-            # unreachable subtree: emit zero rows for all completions
-            dim = 1 << params.n_visible
-            zero = StateVector(params.n_visible, np.zeros(dim, dtype=np.complex128))
-            for tail in all_spin_configs(m_hidden - j):
-                s_vec = np.array(list(prefix) + list(tail), dtype=np.int8)
-                rows.append((s_vec, 0.0, _history_weight(params, s_vec), zero))
-            return
-        blocked = apply_hidden_block(state.with_plus_ancilla(), params, j)
-        for s in (1, -1):
-            collapsed, p_j = project_hidden_outcome(blocked, s)
-            walk(j + 1, collapsed, prefix + [s], prob * p_j)
-
-    walk(0, prepare_visible_product(params), [], 1.0)
+    branches = [(prepare_visible_product(params), 1.0, 1.0)]
+    for j in range(m_hidden):
+        r_sq = {s: r_factor(params.m[j].real, s) ** 2 for s in (1, -1)}
+        split = []
+        for state, prob, weight in branches:
+            blocked = apply_hidden_block(state.with_plus_ancilla(), params, j)
+            for s in (1, -1):
+                collapsed, p_j = project_hidden_outcome(blocked, s)
+                split.append((collapsed, prob * p_j, weight * r_sq[s]))
+        branches = split
+    states, probs, weights = zip(*branches)
     return BranchTable(
-        s=np.array([r[0] for r in rows], dtype=np.int8),
-        branch_probs=np.array([r[1] for r in rows]),
-        weights=np.array([r[2] for r in rows]),
-        states=tuple(r[3] for r in rows),
+        s=all_spin_configs(m_hidden),
+        branch_probs=np.array(probs),
+        weights=np.array(weights),
+        states=states,
     )
 
 
@@ -237,8 +227,7 @@ def _extended_amplitudes(params: RbmParams) -> np.ndarray:
     """(2^N, 2^M) amplitudes of the unnormalized (N+M)-qubit state built by
     applying exp of the coupled-bias operator to |+...+> on all qubits."""
     n, m = params.n_visible, params.n_hidden
-    zv = all_spin_configs(n).astype(np.float64)
-    zh = all_spin_configs(m).astype(np.float64)
+    zv, zh = spin_rows(n), spin_rows(m)
     expo = (zv @ params.b)[:, None] + (zh @ params.m)[None, :] + zv @ params.w @ zh.T
     return np.exp(expo) / np.sqrt(2.0 ** (n + m))
 
@@ -255,41 +244,33 @@ def verify_ensemble_identities(params: RbmParams) -> EnsembleIdentityReport:
         sum_s branch_prob * weight (computed on completely independent
         routes: brute-force (N+M)-qubit construction vs protocol replay).
     """
-    if not params.unitary_coupled:
-        raise ValueError("ensemble identities hold for unitary couplings only")
+    _require_unitary(params, "the ensemble-identity check")
     check_cap(params.n_hidden, IDENTITY_HIDDEN_CAP, "identity check over {} hidden units")
     table = enumerate_branches(params)
     m_hidden = params.n_hidden
     n_branches = table.s.shape[0]
 
     # branch amplitudes relative to the normalized visible preparation
-    amp = np.stack(
-        [
-            np.sqrt(table.branch_probs[r]) * table.states[r].amplitudes
-            for r in range(n_branches)
-        ]
-    )
+    amp = np.sqrt(table.branch_probs)[:, None] * np.stack([st.amplitudes for st in table.states])
+    conj_amp = np.conj(amp)
 
+    # rows r1, r2 differ in the set bits of x = r1 ^ r2: parity of x and its
+    # highest set bit, the first differing slot, over all x
+    index = np.arange(n_branches)
+    odd = np.array([bin(x).count("1") % 2 for x in range(n_branches)], dtype=bool)
+    high = np.array([1 << x.bit_length() >> 1 for x in range(n_branches)])
     odd_max = 0.0
     even_max = 0.0
-    row_of = {tuple(int(v) for v in table.s[r]): r for r in range(n_branches)}
     for r1 in range(n_branches):
-        for r2 in range(n_branches):
-            if r1 == r2:
-                continue
-            diff = np.nonzero(table.s[r1] != table.s[r2])[0]
-            k = diff.shape[0]
-            cross = np.conj(amp[r2]) * amp[r1]
-            if k % 2 == 1:
-                odd_max = max(odd_max, float(np.max(np.abs(2.0 * cross.real))))
-            else:
-                q = int(diff[0])
-                t1 = list(int(v) for v in table.s[r1])
-                t2 = list(int(v) for v in table.s[r2])
-                t1[q] = -t1[q]
-                t2[q] = -t2[q]
-                partner = np.conj(amp[row_of[tuple(t2)]]) * amp[row_of[tuple(t1)]]
-                even_max = max(even_max, float(np.max(np.abs(cross + partner))))
+        x = r1 ^ index
+        cross = conj_amp * amp[r1]
+        odd_max = max(odd_max, float(np.max(np.abs(2.0 * cross[odd[x]].real), initial=0.0)))
+        even = ~odd[x]
+        even[r1] = False
+        r2 = index[even]
+        flip = high[x[even]]
+        partner = conj_amp[r2 ^ flip] * amp[r1 ^ flip]
+        even_max = max(even_max, float(np.max(np.abs(cross[even] + partner), initial=0.0)))
 
     # (c) success-probability decomposition
     prep_norm_sq = float(np.prod(np.cosh(2.0 * params.b.real)))
@@ -371,8 +352,7 @@ def sample_protocol_batch(
     """
     if n_runs < 1:
         raise ValueError("need at least one protocol run")
-    if not params.unitary_coupled:
-        raise ValueError("batched protocol sampling requires unitary couplings")
+    _require_unitary(params, "batched protocol sampling")
     # log cosh a = logaddexp(a, -a) - log 2 stays finite where cosh^2 overflows
     a = params.m.real
     log_max_weight = float(np.sum(2.0 * (np.logaddexp(a, -a) - np.log(2.0))))

@@ -122,8 +122,8 @@ def _resolve_hidden(args, n: int) -> int:
             raise UsageError("--m-hidden must be non-negative")
         return args.m_hidden
     alpha = 1.0 if args.alpha is None else args.alpha
-    if alpha < 0:
-        raise UsageError("--alpha must be non-negative")
+    if not (alpha >= 0 and np.isfinite(alpha * n)):
+        raise UsageError("--alpha must be non-negative, with alpha * N finite")
     return int(round(alpha * n))
 
 

@@ -56,17 +56,23 @@ class PauliHamiltonian:
         if not self.terms:
             raise ValueError("terms must hold at least one Pauli word")
         seen = set()
+        terms = []
         for coeff, word in self.terms:
             if len(word) != self.n_qubits or any(c not in PAULI_CHARS for c in word):
                 raise ValueError(f"bad Pauli word {word!r} for {self.n_qubits} qubits")
             if word in seen:
                 raise ValueError(f"duplicate Pauli word {word!r}")
             seen.add(word)
-            if not np.isfinite(coeff):
+            # as in parse_pauli_text: a complex coefficient must be real
+            if np.asarray(coeff).dtype.kind not in "biufc":
+                raise ValueError(f"non-numeric coefficient {coeff!r} for {word!r}")
+            value = complex(coeff)
+            if value.imag != 0.0:
+                raise HermiticityError(f"coefficient {coeff!r} of {word!r} is not real")
+            if not np.isfinite(value.real):
                 raise ValueError(f"non-finite coefficient for {word!r}")
-        object.__setattr__(
-            self, "terms", tuple((float(c), str(w)) for c, w in self.terms)
-        )
+            terms.append((value.real, str(word)))
+        object.__setattr__(self, "terms", tuple(terms))
 
     @classmethod
     def from_terms(cls, terms) -> "PauliHamiltonian":

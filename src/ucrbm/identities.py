@@ -32,16 +32,26 @@ def _plus_contraction(phi: complex) -> complex:
     return complex(_PLUS @ (diag * _PLUS))
 
 
-def _certify_proportionality(lhs: np.ndarray, rhs: np.ndarray) -> tuple[complex, float]:
-    """Best global scalar lam with lhs ~= lam*rhs and the relative deviation."""
+def _certify_proportionality(
+    lhs: np.ndarray, rhs: np.ndarray, tol: float, what: str
+) -> tuple[complex, float]:
+    """Best global scalar lam with lhs ~= lam*rhs and the relative deviation.
+
+    A deviation above ``tol`` raises ``IdentityCheckError`` naming ``what``,
+    with both diagonals attached."""
     scale = float(np.max(np.abs(lhs)))
-    if scale == 0.0:
-        return 0.0 + 0.0j, float(np.max(np.abs(rhs)))
     anchor = int(np.argmax(np.abs(rhs)))
-    if rhs[anchor] == 0.0:
-        return 0.0 + 0.0j, np.inf
-    lam = complex(lhs[anchor] / rhs[anchor])
-    deviation = float(np.max(np.abs(lhs - lam * rhs))) / scale
+    if scale == 0.0:
+        lam, deviation = 0.0 + 0.0j, float(np.max(np.abs(rhs)))
+    elif rhs[anchor] == 0.0:
+        lam, deviation = 0.0 + 0.0j, np.inf
+    else:
+        lam = complex(lhs[anchor] / rhs[anchor])
+        deviation = float(np.max(np.abs(lhs - lam * rhs))) / scale
+    if deviation > tol:
+        raise IdentityCheckError(
+            f"{what} failed (deviation {deviation:.3e})", lhs=lhs, rhs=rhs
+        )
     return lam, deviation
 
 
@@ -80,14 +90,9 @@ def decouple_monomial(omega: complex, degree: int) -> MonomialDecoupling:
     offset = (degree % 4) * np.pi / 4
     m_tilde = np.arctan(np.exp(-np.asarray(omega, dtype=complex))) - offset
     lhs, rhs = _monomial_diagonals(omega, degree, m_tilde)
-    lam, deviation = _certify_proportionality(lhs, rhs)
-    if deviation > MONOMIAL_TOL:
-        raise IdentityCheckError(
-            f"monomial decoupling failed for omega={omega!r}, degree={degree} "
-            f"(deviation {deviation:.3e})",
-            lhs=lhs,
-            rhs=rhs,
-        )
+    lam, deviation = _certify_proportionality(
+        lhs, rhs, MONOMIAL_TOL, f"monomial decoupling for omega={omega!r}, degree={degree}"
+    )
     return MonomialDecoupling(
         omega=complex(omega),
         degree=degree,
@@ -121,14 +126,9 @@ def decouple_real_coupling(w_real: float) -> RealCouplingDecoupling:
     lhs = np.exp(w_real * zmat[:, 0] * zmat[:, 1])
     phi = sign * omega_v * zmat[:, 0] + omega_h * zmat[:, 1]
     rhs = np.array([_plus_contraction(p) for p in phi])
-    lam, deviation = _certify_proportionality(lhs, rhs)
-    if deviation > REAL_COUPLING_TOL:
-        raise IdentityCheckError(
-            f"real-coupling decoupling failed for w={w_real!r} "
-            f"(deviation {deviation:.3e})",
-            lhs=lhs,
-            rhs=rhs,
-        )
+    lam, deviation = _certify_proportionality(
+        lhs, rhs, REAL_COUPLING_TOL, f"real-coupling decoupling for w={w_real!r}"
+    )
     return RealCouplingDecoupling(
         w_real=float(w_real),
         delta=lam,
@@ -157,14 +157,9 @@ def decouple_hidden_pair(omega: complex) -> HiddenPairDecoupling:
     lhs = np.exp(1j * omega * zmat[:, 0] * zmat[:, 1])
     phi = b + (np.pi / 4) * (zmat[:, 0] + zmat[:, 1])
     rhs = np.array([_plus_contraction(p) ** 2 for p in phi])
-    lam, deviation = _certify_proportionality(lhs, rhs)
-    if deviation > HIDDEN_PAIR_TOL:
-        raise IdentityCheckError(
-            f"hidden-pair decoupling failed for omega={omega!r} "
-            f"(deviation {deviation:.3e})",
-            lhs=lhs,
-            rhs=rhs,
-        )
+    lam, deviation = _certify_proportionality(
+        lhs, rhs, HIDDEN_PAIR_TOL, f"hidden-pair decoupling for omega={omega!r}"
+    )
     return HiddenPairDecoupling(omega=omega, b=complex(b), c=lam, max_deviation=deviation)
 
 
@@ -185,15 +180,10 @@ class PolynomialExpansion:
 
 def _monomial_matrix(zmat: np.ndarray) -> np.ndarray:
     """(K, 2^N) character matrix: column `mask` is prod_{i in mask} z_i."""
-    k_rows, n = zmat.shape
-    cols = np.ones((k_rows, 1 << n))
-    for mask in range(1, 1 << n):
-        prod = np.ones(k_rows)
-        for i in range(n):
-            if mask & (1 << i):
-                prod = prod * zmat[:, i]
-        cols[:, mask] = prod
-    return cols
+    n = zmat.shape[1]
+    # bit i of each mask picks z_i into the column's product, else 1.0
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(bool)
+    return np.where(bits, zmat[:, None, :], 1.0).prod(axis=2)
 
 
 def rbm_polynomial_coefficients(params: RbmParams) -> PolynomialExpansion:

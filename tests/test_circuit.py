@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import kron_chain, SZ, SI
 
+from ucrbm import circuit
 from ucrbm.circuit import (
     BranchTable,
     apply_hidden_block,
@@ -18,7 +21,7 @@ from ucrbm.circuit import (
 )
 from ucrbm.errors import NumericalIntegrityError, ProtocolOrderError, SizeCapError
 from ucrbm.rbm import RbmParams, exact_statevector, random_init
-from ucrbm.spins import spins_to_index
+from ucrbm.spins import all_spin_configs, spins_to_index
 from ucrbm.statevector import StateVector, fidelity
 
 
@@ -229,6 +232,25 @@ class TestEnumerateBranches:
                 table.states[0].amplitudes, np.full(2**n, 2 ** (-n / 2)), atol=1e-14
             )
 
+    def test_rows_are_in_history_index_order(self):
+        # row k is the history of index k, so rows k and l differ exactly in
+        # the set bits of k ^ l; the identity check pairs rows by those bits
+        for m in (0, 1, 4):
+            table = enumerate_branches(random_init(2, m, 0.5, m, True))
+            assert table.s.dtype == np.int8
+            assert np.array_equal(table.s, all_spin_configs(m))
+
+    def test_unreachable_branches_hold_the_zero_vector(self):
+        # a trivial unit 0 makes every s_0 = -1 history unreachable; the later
+        # blocks' phases must not leave negative zeros in those states
+        p = random_init(3, 4, 0.6, 1, True)
+        m, w = p.m.copy(), p.w.copy()
+        m[0], w[:, 0] = 0.0, 0.0
+        table = enumerate_branches(RbmParams(p.b, m, w, unitary_coupled=True))
+        zero = np.zeros(8, complex).tobytes()
+        assert np.all(table.branch_probs[8:] == 0.0) and np.all(table.branch_probs[:8] > 0.0)
+        assert all(st.amplitudes.tobytes() == zero for st in table.states[8:])
+
     def test_probabilities_sum_to_one(self):
         for seed in range(10):
             p = random_init(3, 3, 0.5, seed, True)
@@ -304,6 +326,45 @@ class TestVerifyEnsembleIdentities:
             assert report.success_prob_error < 1e-10
             assert np.any(np.abs(table.weights - 1.0) > 1e-6)
         assert set(table.weights) <= {0.0, 1.0}
+
+    def test_bit_pairing_matches_the_history_search(self):
+        # reference: compare the histories slot by slot and find the partner
+        # pair by flipping the first differing slot of both
+        for n, m, seed in ((2, 3, 0), (3, 4, 1), (2, 1, 2)):
+            p = random_init(n, m, 0.4, seed, True)
+            table = enumerate_branches(p)
+            amp = [np.sqrt(pr) * st.amplitudes for pr, st in zip(table.branch_probs, table.states)]
+            row_of = {tuple(s): r for r, s in enumerate(table.s.tolist())}
+            odd_max = even_max = 0.0
+            for r1, s1 in enumerate(table.s.tolist()):
+                for r2, s2 in enumerate(table.s.tolist()):
+                    diff = [j for j in range(m) if s1[j] != s2[j]]
+                    cross = np.conj(amp[r2]) * amp[r1]
+                    if len(diff) % 2:
+                        odd_max = max(odd_max, float(np.max(np.abs(2.0 * cross.real))))
+                    elif diff:
+                        t1, t2 = list(s1), list(s2)
+                        t1[diff[0]], t2[diff[0]] = -s1[diff[0]], -s2[diff[0]]
+                        partner = np.conj(amp[row_of[tuple(t2)]]) * amp[row_of[tuple(t1)]]
+                        even_max = max(even_max, float(np.max(np.abs(cross + partner))))
+            report = verify_ensemble_identities(p)
+            assert (report.odd_cross_max, report.even_pair_max) == (odd_max, even_max)
+
+    def test_rephased_branch_trips_the_cross_term_checks(self, monkeypatch):
+        # negative control for (a) and (b): e^{0.1i} on the most probable
+        # branch state leaves probabilities and weights, and so (c), intact
+        p = random_init(2, 3, 0.4, 0, True)
+        table = enumerate_branches(p)
+        row = int(np.argmax(table.branch_probs))
+        states = list(table.states)
+        states[row] = StateVector(2, states[row].amplitudes * np.exp(0.1j))
+        broken = dataclasses.replace(table, states=tuple(states))
+        assert verify_ensemble_identities(p).max_violation() < 1e-10
+        monkeypatch.setattr(circuit, "enumerate_branches", lambda params: broken)
+        report = verify_ensemble_identities(p)
+        assert report.odd_cross_max > 1e-3
+        assert report.even_pair_max > 1e-3
+        assert report.success_prob_error < 1e-10
 
     def test_rejects_unrestricted(self):
         with pytest.raises(ValueError):

@@ -67,6 +67,20 @@ class TestUsageErrors:
         assert not trace.exists()
 
 
+    @pytest.mark.parametrize("command", ["ite", "sample-bench"])
+    @pytest.mark.parametrize("alpha", ["inf", "nan", "1e308"])
+    def test_alpha_without_a_finite_hidden_count_is_usage_error(self, tmp_path, capsys, command, alpha):
+        # int(round(alpha * n)) would raise OverflowError or ValueError; 1e308
+        # is finite, but alpha * N is not
+        trace = tmp_path / "t.csv"
+        args = [command, "--model", "tfi", "--n", "3", f"--alpha={alpha}"]
+        if command == "ite":
+            args += ["--steps", "2", "--trace-out", str(trace)]
+        assert run_cli(args) == 1
+        assert "usage error" in capsys.readouterr().err
+        assert not trace.exists()
+
+
 class TestComputeErrors:
     def test_missing_file_is_compute_error(self):
         assert run_cli(["exact", "--pauli-file", "/nonexistent/file.txt"]) == 2

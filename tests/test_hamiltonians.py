@@ -432,6 +432,22 @@ class TestPauliHamiltonianValidation:
         with pytest.raises(ValueError):
             PauliHamiltonian(1, ((float("inf"), "Z"),))
 
+    def test_complex_coefficient_matches_the_text_parser(self):
+        # a zero imaginary part is dropped, as parse_pauli_text does for "0.5+0j"
+        h = PauliHamiltonian(1, ((0.5 + 0j, "X"), (np.complex128(-1.5), "Z")))
+        assert h.terms == ((0.5, "X"), (-1.5, "Z"))
+        assert all(type(c) is float for c, _ in h.terms)
+        assert h == parse_pauli_text("0.5+0j X\n-1.5 Z")
+
+    def test_non_real_coefficient_is_hermiticity_error(self):
+        with pytest.raises(HermiticityError, match="'X'"):
+            PauliHamiltonian(1, ((0.5 + 1j, "X"),))
+
+    @pytest.mark.parametrize("coeff", ["0.5", None])
+    def test_non_numeric_coefficient_names_the_word(self, coeff):
+        with pytest.raises(ValueError, match="non-numeric coefficient .* for 'Y'"):
+            PauliHamiltonian(1, ((coeff, "Y"),))
+
     @pytest.mark.parametrize(
         "n_qubits, terms, field",
         [(2, (), "terms"), (-1, (), "n_qubits"), (0, ((1.0, ""),), "n_qubits")],

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ucrbm.errors import SizeCapError
+from ucrbm import identities
+from ucrbm.errors import IdentityCheckError, SizeCapError
 from ucrbm.identities import (
     decouple_hidden_pair,
     decouple_monomial,
@@ -95,6 +96,32 @@ class TestDecoupleHiddenPair:
         np.testing.assert_allclose(rhs, lhs, atol=1e-10 * max(1.0, np.abs(lhs).max()))
 
 
+class TestCertificationFailures:
+    @pytest.mark.parametrize(
+        "decouple, arg",
+        [(decouple_monomial, (0.3, 2)), (decouple_real_coupling, (0.7,)),
+         (decouple_hidden_pair, (1.1,))],
+    )
+    def test_broken_contraction_is_refused_with_both_diagonals(
+        self, monkeypatch, decouple, arg
+    ):
+        true_contraction = identities._plus_contraction
+        monkeypatch.setattr(
+            identities, "_plus_contraction", lambda phi: true_contraction(phi) + 1e-6
+        )
+        with pytest.raises(IdentityCheckError, match="failed") as info:
+            decouple(*arg)
+        assert info.value.lhs is not None and info.value.rhs is not None
+        assert info.value.lhs.shape == info.value.rhs.shape
+
+    def test_vanishing_hidden_product_is_refused(self):
+        # cosh(i pi/4 + i pi/4 z) is cos(pi/2), about 6e-17, at z = +1 and 1 at z = -1
+        quarter = np.array([1j * np.pi / 4])
+        p = RbmParams(np.zeros(1, complex), quarter, quarter[None, :])
+        with pytest.raises(IdentityCheckError, match="vanishes at configuration index 0"):
+            rbm_polynomial_coefficients(p)
+
+
 class TestPolynomialExpansion:
     def test_no_hidden_units_gives_constant_only(self):
         p = RbmParams(np.array([0.2 + 0.1j, -0.3j]), np.zeros(0), np.zeros((2, 0)))
@@ -133,6 +160,17 @@ class TestPolynomialExpansion:
     def test_cap(self):
         with pytest.raises(SizeCapError):
             rbm_polynomial_coefficients(random_init(5, 2, 0.1, 0, False))
+
+    def test_character_matrix_matches_the_product_loop(self):
+        # column mask multiplies the z_i whose bit i is set, in increasing i
+        for n in range(5):
+            zmat = all_spin_configs(n).astype(float)
+            loop = np.ones((1 << n, 1 << n))
+            for mask in range(1 << n):
+                for i in range(n):
+                    if mask & (1 << i):
+                        loop[:, mask] = loop[:, mask] * zmat[:, i]
+            assert np.array_equal(identities._monomial_matrix(zmat), loop)
 
 
 class TestRbmToUnitaryCoupled:

@@ -14,13 +14,25 @@ draws from ``default_rng(seed)``.  Then 13 ``ite_run`` calls: the three
 benchmark workloads' starts (perfbench/workloads.py) at seeds 0-2 for 150
 exact, 30 vmc and 12 ensemble steps, and AFH(4) in exact and vmc mode with
 both ansaetze for 40 steps at K = 2000; every ``IteTrace`` field and the
-final parameters are compared.  ``--grid smoke`` is a two-point grid
-(TFI(4), seed 0, scale 0.7, both ansaetze, K = 512) with three 3-step runs.
+final parameters are compared.  Then the protocol oracle: the
+``enumerate_branches`` table (s, branch probabilities, weights, stacked
+state amplitudes) and the ``verify_ensemble_identities`` report at
+(N, M) = (2, 3), (3, 4), (4, 6), seeds 0-2, scale 0.4, unitary couplings,
+and at all-zero parameters with N = 3, M = 4 (exact-zero branches); the
+three decoupling records at the inputs of ``ucrbm identities``; and
+``rbm_polynomial_coefficients`` at N = 2-4.  ``--grid smoke`` is a
+two-point grid (TFI(4), seed 0, scale 0.7, both ansaetze, K = 512) with
+three 3-step runs and the oracle at N = 2, M = 3, seed 0.
 
 For each quantity and point the output holds max |new - old| / max |old|
-(max |new - old| where old is all zero) and a bitwise flag (same dtype,
-shape and bytes).  A point refused on either side holds each side's
-exception type and message instead, and matches when both are equal.
+(max |new - old| where old is all zero), max |new - old| and a bitwise flag
+(same dtype, shape and bytes).  A point refused on either side holds each
+side's exception type and message instead, and matches when both are equal.
+The summary's ``max_rel_diff`` leaves out the ``residuals`` of the
+``ite_run`` traces, rounding noise by construction, whose largest absolute
+difference is ``max_residual_abs_diff``; and it counts a ``min_eig_a``
+difference only beyond the trace's resolution, P * eps * max |max_eig_a|
+(see ``IteTrace``).  ``all_equal`` and the exit status are purely bitwise.
 """
 
 from __future__ import annotations
@@ -96,6 +108,58 @@ def _ite_calls(grid):
             yield f"ite/afh4/{mode}/{'uc' if unitary else 'full'}", h, p0, cfg
 
 
+def _oracle(grid):
+    """(key, thunk) of every oracle point: branch tables with their identity
+    reports, decoupling records and polynomial expansions."""
+    from dataclasses import asdict
+
+    from ucrbm import (
+        RbmParams,
+        decouple_hidden_pair,
+        decouple_monomial,
+        decouple_real_coupling,
+        random_init,
+        rbm_polynomial_coefficients,
+    )
+    from ucrbm.circuit import enumerate_branches, verify_ensemble_identities
+
+    def branches(p):
+        table = enumerate_branches(p)
+        out = asdict(verify_ensemble_identities(p))
+        out.update(
+            s=table.s,
+            branch_probs=table.branch_probs,
+            weights=table.weights,
+            states=np.stack([st.amplitudes for st in table.states]),
+        )
+        return out
+
+    if grid == "smoke":
+        yield "oracle/branches/n2m3/seed0", lambda: branches(random_init(2, 3, 0.4, 0, True))
+        return
+    for n, m in ((2, 3), (3, 4), (4, 6)):
+        for seed in (0, 1, 2):
+            p = random_init(n, m, 0.4, seed, True)
+            yield f"oracle/branches/n{n}m{m}/seed{seed}", lambda p=p: branches(p)
+    zero = RbmParams(
+        np.zeros(3, complex), np.zeros(4, complex), np.zeros((3, 4), complex), unitary_coupled=True
+    )
+    yield "oracle/branches/n3m4/zero", lambda: branches(zero)
+    # the decouplings at the inputs of ``ucrbm identities``
+    for degree in (1, 2, 3):
+        for omega in (0.3, -0.45, 0.2 + 0.5j, -0.1 - 0.35j):
+            record = lambda o=omega, d=degree: asdict(decouple_monomial(o, d))
+            yield f"oracle/monomial/deg{degree}/omega{omega}", record
+    for w in (0.0, 0.7, -0.7, 0.3, -1.2):
+        yield f"oracle/real_coupling/w{w}", lambda w=w: asdict(decouple_real_coupling(w))
+    for omega in (0.0, np.pi / 4, 1.1, 0.4 - 0.2j):
+        record = lambda o=omega: asdict(decouple_hidden_pair(o))
+        yield f"oracle/hidden_pair/omega{omega}", record
+    for n in (2, 3, 4):
+        p = random_init(n, n, 0.4, 0, False)
+        yield f"oracle/expansion/n{n}", lambda p=p: asdict(rbm_polynomial_coefficients(p))
+
+
 def _attempt(fn):
     try:
         return fn()
@@ -140,19 +204,29 @@ def evaluate(grid):
 
     for key, h, p0, cfg in _ite_calls(grid):
         results[key] = _attempt(lambda: run(h, p0, cfg))
+    for key, thunk in _oracle(grid):
+        results[key] = _attempt(thunk)
     return results
 
 
 def _compare(old, new):
     if old is None or new is None:  # a quantity one tree does not give
-        return {"rel_diff": None, "bitwise": False}
+        return {"rel_diff": None, "abs_diff": None, "bitwise": False}
     old, new = np.asarray(old), np.asarray(new)
     if old.shape != new.shape:
-        return {"rel_diff": None, "bitwise": False}
+        return {"rel_diff": None, "abs_diff": None, "bitwise": False}
     bitwise = old.dtype == new.dtype and old.tobytes() == new.tobytes()
     scale = float(np.max(np.abs(old), initial=0.0))
     diff = float(np.max(np.abs(new - old), initial=0.0))
-    return {"rel_diff": diff / scale if scale > 0.0 else diff, "bitwise": bool(bitwise)}
+    rel = diff / scale if scale > 0.0 else diff
+    return {"rel_diff": rel, "abs_diff": diff, "bitwise": bool(bitwise)}
+
+
+def _resolution(trace):
+    """P * eps * max |max_eig_a|: how finely an ``ite_run`` trace resolves
+    the eigenvalues of A (P slots, eps the float64 machine epsilon)."""
+    n_slots = np.shape(trace["thetas"])[-1]
+    return n_slots * np.finfo(np.float64).eps * float(np.max(np.abs(trace["max_eig_a"])))
 
 
 def compare(old, new):
@@ -168,19 +242,34 @@ def compare(old, new):
             report[key] = {"refusal": refusals, "match": refusals["old"] == refusals["new"]}
         else:
             report[key] = {q: _compare(a.get(q), b.get(q)) for q in sorted(a.keys() | b.keys())}
+            if "min_eig_a" in a and "max_eig_a" in a and "thetas" in a:
+                report[key]["min_eig_a"]["resolution"] = _resolution(a)
     return dict(sorted(report.items()))
 
 
+def _summary_rel_diff(quantity, c):
+    """A quantity's share of ``max_rel_diff``: None for residuals and for a
+    ``min_eig_a`` that moved no further than its trace resolves."""
+    if c["rel_diff"] is None or quantity == "residuals":
+        return None
+    if quantity == "min_eig_a" and c["abs_diff"] <= c.get("resolution", -1.0):
+        return None
+    return c["rel_diff"]
+
+
 def summarize(report):
-    compared = [c for r in report.values() if "refusal" not in r for c in r.values()]
-    flags = [c["bitwise"] for c in compared]
-    diffs = [c["rel_diff"] for c in compared if c["rel_diff"] is not None]
+    compared = [(q, c) for r in report.values() if "refusal" not in r for q, c in r.items()]
+    flags = [c["bitwise"] for _, c in compared]
+    diffs = [d for q, c in compared if (d := _summary_rel_diff(q, c)) is not None]
+    residuals = [c["abs_diff"] for q, c in compared if q == "residuals"]
+    residuals = [d for d in residuals if d is not None]
     refusals = [r["match"] for r in report.values() if "refusal" in r]
     return {
         "points": len(report),
         "quantities": len(flags),
         "bitwise": sum(flags),
         "max_rel_diff": max(diffs, default=0.0),
+        "max_residual_abs_diff": max(residuals, default=0.0),
         "refusals": len(refusals),
         "refusals_matching": sum(refusals),
         "all_equal": all(flags) and all(refusals),
