@@ -133,10 +133,12 @@ class SrSystem:
     they are the half-size form: every distinct derivative column x has a
     Re and an Im slot, so A is the real form of the complex D x D
     covariance S of x in slot order, ``matrix`` is S, ``rhs`` is C_SIGN F,
-    and ``layout`` maps each slot into [Re u, Im u] (``to_slots``); A and C
-    are gathered on first access.  The system is checked once, here:
-    ``matrix`` and ``rhs`` finite and ``matrix`` Hermitian, as A is finite
-    and symmetric exactly when S is finite and Hermitian.
+    and ``layout`` holds the slot floats of ``VariationalIndex``, so that
+    ``to_slots`` maps a solution u to the slot vector as ``flatten`` maps
+    parameters; A and C are gathered on first access.  The system is
+    checked once, here: ``matrix`` and ``rhs`` finite and ``matrix``
+    Hermitian, as A is finite and symmetric exactly when S is finite and
+    Hermitian.
     ``n_preparations`` is the energy's sample count (0 in exact mode).
     """
 
@@ -175,10 +177,12 @@ class SrSystem:
         return self._a_c[1]
 
     def to_slots(self, u: np.ndarray) -> np.ndarray:
-        """The real slot vector of a solution u of the solver's system."""
+        """The real slot vector of a solution u of the solver's system: for
+        the half-size form, u is the complex vector [b, m, w column-major]
+        of a parameter step, and this is its ``VariationalIndex.flatten``."""
         if self.layout is None:
             return u
-        return np.concatenate([u.real, u.imag])[self.layout.slots]
+        return u.view(np.float64)[self.layout.floats]
 
 
 def local_observable(params: RbmParams, z, h: PauliHamiltonian) -> complex:
@@ -446,26 +450,24 @@ class _SlotLayout(NamedTuple):
     """Where each real slot reads A and C, as gathers from the interleaved
     (Re, Im) float view of S and of g."""
 
-    slots: np.ndarray  # (P,) column of [x, i*x] per slot (slot_columns)
+    floats: np.ndarray  # (P,) VariationalIndex.floats: index into g as (2D,) floats
     a_index: np.ndarray  # (P, P) flat index into S viewed as (D, 2D) floats
     a_negate: np.ndarray  # (P, P) True where A takes -Im S
-    c_index: np.ndarray  # (P,) index into g viewed as (2D,) floats
 
 
 @lru_cache(maxsize=8)
 def _slot_layout(n_visible: int, n_hidden: int, unitary_coupled: bool) -> _SlotLayout:
     """The slot gathers of one (N, M, ansatz), built once."""
-    slots = VariationalIndex(n_visible, n_hidden, unitary_coupled).slot_columns()
+    floats = VariationalIndex(n_visible, n_hidden, unitary_coupled).floats
     d = n_visible + n_hidden + n_visible * n_hidden
-    part, col = np.divmod(slots, d)
+    col, part = np.divmod(floats, 2)
     # Slot blocks: Re S (Re/Re, Im/Im), -Im S (Re row, Im column), +Im S
     # (Im row, Re column); C takes Re g in Re slots and Im g in Im slots.
     cross = part[:, None] != part[None, :]
     layout = _SlotLayout(
-        slots=slots,
+        floats=floats,
         a_index=2 * (col[:, None] * d + col[None, :]) + cross,
         a_negate=part[:, None] < part[None, :],
-        c_index=2 * col + part,
     )
     for arr in layout:
         arr.flags.writeable = False
@@ -478,7 +480,7 @@ def _real_form(s, g, layout: _SlotLayout):
     a = np.take(s_floats, layout.a_index)
     np.negative(a, out=a, where=layout.a_negate)
     g_floats = np.ascontiguousarray(g, dtype=np.complex128).view(np.float64)
-    return a, g_floats[layout.c_index]
+    return a, g_floats[layout.floats]
 
 
 def _slot_system(params, s, f, energy) -> SrSystem:

@@ -74,13 +74,6 @@ class PauliHamiltonian:
             terms.append((value.real, str(word)))
         object.__setattr__(self, "terms", tuple(terms))
 
-    @classmethod
-    def from_terms(cls, terms) -> "PauliHamiltonian":
-        terms = list(terms)
-        if not terms:
-            raise ValueError("a Hamiltonian needs at least one term")
-        return cls(len(terms[0][1]), tuple(terms))
-
     @property
     def n_terms(self) -> int:
         return len(self.terms)

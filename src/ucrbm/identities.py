@@ -14,8 +14,7 @@ import numpy as np
 
 from .errors import IdentityCheckError
 from ._kernels import logcosh
-from .rbm import RbmParams, exact_statevector
-from .spins import all_spin_configs
+from .rbm import RbmParams, exact_statevector, hidden_angles, spin_rows
 from .statevector import EXPANSION_CAP, check_cap, fidelity
 
 MONOMIAL_TOL = 1e-8
@@ -69,7 +68,7 @@ class MonomialDecoupling:
 
 
 def _monomial_diagonals(omega: complex, degree: int, m_tilde: complex):
-    zmat = all_spin_configs(degree).astype(np.float64)
+    zmat = spin_rows(degree)
     parity = np.prod(zmat, axis=1)
     lhs = np.exp(omega * parity)
     phi = m_tilde + (np.pi / 4) * zmat.sum(axis=1)
@@ -122,7 +121,7 @@ def decouple_real_coupling(w_real: float) -> RealCouplingDecoupling:
     omega_h = -omega_v
     sign = 1.0 if w_real >= 0 else -1.0
 
-    zmat = all_spin_configs(2).astype(np.float64)  # columns: v, h
+    zmat = spin_rows(2)  # columns: v, h
     lhs = np.exp(w_real * zmat[:, 0] * zmat[:, 1])
     phi = sign * omega_v * zmat[:, 0] + omega_h * zmat[:, 1]
     rhs = np.array([_plus_contraction(p) for p in phi])
@@ -153,7 +152,7 @@ def decouple_hidden_pair(omega: complex) -> HiddenPairDecoupling:
     omega = complex(omega)
     b = np.arctan(np.exp(-1j * omega)) - np.pi / 2
 
-    zmat = all_spin_configs(2).astype(np.float64)  # columns: h1, h2
+    zmat = spin_rows(2)  # columns: h1, h2
     lhs = np.exp(1j * omega * zmat[:, 0] * zmat[:, 1])
     phi = b + (np.pi / 4) * (zmat[:, 0] + zmat[:, 1])
     rhs = np.array([_plus_contraction(p) ** 2 for p in phi])
@@ -194,8 +193,8 @@ def rbm_polynomial_coefficients(params: RbmParams) -> PolynomialExpansion:
     1e-14 of the largest amplitude) is reported as a branch failure."""
     n = params.n_visible
     check_cap(n, EXPANSION_CAP, "polynomial expansion over {} visible spins")
-    zmat = all_spin_configs(n).astype(np.float64)
-    lc = logcosh(params.m[None, :] + zmat @ params.w).sum(axis=1)
+    zmat = spin_rows(n)
+    lc = logcosh(hidden_angles(params, zmat)).sum(axis=1)
 
     magnitudes = np.exp(lc.real)
     floor = 1e-14 * float(magnitudes.max())

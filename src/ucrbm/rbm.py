@@ -64,28 +64,29 @@ class RbmParams:
 
 
 @lru_cache(maxsize=None)
-def _unflatten_gather(n: int, m: int, unitary_coupled: bool) -> np.ndarray:
-    """Read-only slots of the interleaved (Re, Im) float pairs of [b, m, w],
-    w row-major, so that one gather lays out the complex parameters; built
-    once per (N, M, ansatz).  Without Re(w) slots the Im(w) slot stands in
-    (``VariationalIndex.unflatten`` zeroes it)."""
-    i, j = np.divmod(np.arange(n * m), m)
-    w_im = 2 * n + 2 * m + j * n + i
-    w_re = w_im if unitary_coupled else w_im + n * m
-    re = np.concatenate([np.arange(n), 2 * n + np.arange(m), w_re])
-    im = np.concatenate([n + np.arange(n), 2 * n + m + np.arange(m), w_im])
-    gather = np.stack([re, im], axis=1).ravel()
-    gather.flags.writeable = False
-    return gather
+def _slot_floats(n: int, m: int, unitary_coupled: bool) -> np.ndarray:
+    """The one statement of the slot order, built once per (N, M, ansatz):
+    read-only indices into the interleaved (Re, Im) float view of the
+    complex vector [b, m, w column-major] (entry w[i, j] at N + M + j*N + i).
+
+    Slot order: Re b, Im b, Re m, Im m, Im w, then Re w - the Re w block
+    exists only for unrestricted couplings.
+    """
+    vis = 2 * np.arange(n)
+    hid = 2 * np.arange(n, n + m)
+    cpl = 2 * np.arange(n + m, n + m + n * m)
+    parts = [vis, vis + 1, hid, hid + 1, cpl + 1]
+    if not unitary_coupled:
+        parts.append(cpl)
+    floats = np.concatenate(parts)
+    floats.flags.writeable = False
+    return floats
 
 
 class VariationalIndex:
-    """Fixed ordering of the independent real degrees of freedom.
-
-    Slot order: Re(b) (N), Im(b) (N), Re(m) (M), Im(m) (M), Im(w) in
-    column-major order (slot j*N + i for entry w[i, j]), then Re(w)
-    column-major - the Re(w) block exists only for unrestricted couplings.
-    """
+    """Fixed ordering of the independent real degrees of freedom: slot k is
+    float ``floats[k]`` of the interleaved (Re, Im) view of the complex
+    vector [b, m, w column-major] (``_slot_floats``)."""
 
     def __init__(self, n_visible: int, n_hidden: int, unitary_coupled: bool):
         if n_visible < 1 or n_hidden < 0:
@@ -93,9 +94,8 @@ class VariationalIndex:
         self.n_visible = n_visible
         self.n_hidden = n_hidden
         self.unitary_coupled = unitary_coupled
-        n_w = n_visible * n_hidden
-        self.size = 2 * n_visible + 2 * n_hidden + (n_w if unitary_coupled else 2 * n_w)
-        self._gather = _unflatten_gather(n_visible, n_hidden, unitary_coupled)
+        self.floats = _slot_floats(n_visible, n_hidden, unitary_coupled)
+        self.size = self.floats.shape[0]
 
     @classmethod
     def for_params(cls, params: RbmParams) -> "VariationalIndex":
@@ -106,23 +106,14 @@ class VariationalIndex:
         x the N + M + N*M distinct columns of ``log_derivative_columns``:
         Re slots take x, Im slots take i*x."""
         n, m = self.n_visible, self.n_hidden
-        n_x = n + m + n * m
-        vis, hid, cpl = np.arange(n), n + np.arange(m), n + m + np.arange(n * m)
-        parts = [vis, n_x + vis, hid, n_x + hid, n_x + cpl]
-        if not self.unitary_coupled:
-            parts.append(cpl)
-        return np.concatenate(parts)
+        col, part = np.divmod(self.floats, 2)
+        return part * (n + m + n * m) + col
 
     def labels(self) -> list[str]:
         n, m = self.n_visible, self.n_hidden
-        out = [f"b_re[{i}]" for i in range(n)]
-        out += [f"b_im[{i}]" for i in range(n)]
-        out += [f"m_re[{j}]" for j in range(m)]
-        out += [f"m_im[{j}]" for j in range(m)]
-        out += [f"w_im[{i},{j}]" for j in range(m) for i in range(n)]
-        if not self.unitary_coupled:
-            out += [f"w_re[{i},{j}]" for j in range(m) for i in range(n)]
-        return out
+        entries = [f"b_{{}}[{i}]" for i in range(n)] + [f"m_{{}}[{j}]" for j in range(m)]
+        entries += [f"w_{{}}[{i},{j}]" for j in range(m) for i in range(n)]
+        return [entries[f // 2].format(("re", "im")[f % 2]) for f in self.floats.tolist()]
 
     def flatten(self, params: RbmParams) -> np.ndarray:
         if (params.n_visible, params.n_hidden, params.unitary_coupled) != (
@@ -131,41 +122,35 @@ class VariationalIndex:
             self.unitary_coupled,
         ):
             raise ValueError("parameter shape does not match this index")
-        parts = [
-            params.b.real,
-            params.b.imag,
-            params.m.real,
-            params.m.imag,
-            params.w.imag.T.ravel(),
-        ]
-        if not self.unitary_coupled:
-            parts.append(params.w.real.T.ravel())
-        return np.concatenate(parts)
+        z = np.concatenate([params.b, params.m, params.w.T.ravel()])
+        return z.view(np.float64)[self.floats]
 
     def unflatten(self, vec: np.ndarray) -> RbmParams:
         vec = np.asarray(vec, dtype=np.float64)
         if vec.shape != (self.size,):
             raise ValueError(f"expected a vector of length {self.size}")
         n, m = self.n_visible, self.n_hidden
-        pairs = vec[self._gather].reshape(-1, 2)
+        z = np.zeros(n + m + n * m, dtype=np.complex128)
+        z.view(np.float64)[self.floats] = vec
         if self.unitary_coupled:
             # Re(w) = 0 with the sign of Im(w), as w = 1j * Im(w) gives it
-            np.copysign(0.0, pairs[n + m :, 1], out=pairs[n + m :, 0])
-        z = pairs.view(np.complex128).ravel()
-        w = z[n + m :].reshape(n, m)
+            np.copysign(0.0, z[n + m :].imag, out=z[n + m :].real)
+        w = z[n + m :].reshape(m, n).T
         return RbmParams(z[:n], z[n : n + m], w, unitary_coupled=self.unitary_coupled)
 
 
 def random_init(
-    n: int, m: int, stddev: float, seed: int, unitary_coupled: bool
+    n: int, m: int, stddev: float, seed, unitary_coupled: bool
 ) -> RbmParams:
     """Gaussian(0, stddev^2) draw for every independent real parameter.
 
     Forbidden slots (Re(w) under the unitary-coupled restriction) are exactly
-    zero.  The same seed reproduces bit-identical parameters.
+    zero.  The same seed (anything ``np.random.default_rng`` takes)
+    reproduces bit-identical parameters.
     """
-    if stddev < 0:
-        raise ValueError("stddev must be non-negative")
+    # "not" also refuses NaN, which compares False like a value out of range.
+    if not 0 <= stddev < np.inf:
+        raise ValueError(f"stddev must be finite and non-negative, got {stddev!r}")
     index = VariationalIndex(n, m, unitary_coupled)
     rng = np.random.default_rng(seed)
     return index.unflatten(rng.normal(0.0, stddev, size=index.size))
@@ -210,11 +195,10 @@ def log_derivative_columns(zmat: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def log_derivatives_batch(params: RbmParams, zmat: np.ndarray) -> np.ndarray:
-    """Logarithmic derivative of psi w.r.t. every real parameter slot.
-
-    Row k holds, in VariationalIndex order: z_i, i*z_i, tanh(theta_j),
-    i*tanh(theta_j), i*z_i*tanh(theta_j) and (unrestricted only)
-    z_i*tanh(theta_j), with theta_j = m_j + sum_i w_ij z_i.
+    """Logarithmic derivative of psi w.r.t. every real parameter slot: row k
+    holds, in slot order, the columns x = (z_i, tanh theta_j,
+    z_i tanh theta_j) of ``log_derivative_columns`` or i x, as
+    ``VariationalIndex.slot_columns`` picks them.
 
     The named oracle for the slot order and the SR system's moments; no ITE
     step calls it (see ``log_derivative_columns``).

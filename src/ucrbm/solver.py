@@ -1,9 +1,10 @@
 """Imaginary-time ground-state solver (stochastic reconfiguration).
 
 Each step builds the SR system in the configured estimation mode, solves
-the regularized linear system (A + lambda*I) delta = C, and advances the
-flattened parameter vector along delta.  The sampled modes take fixed
-Euler steps dtau * delta: their energies are noisy.  Exact mode takes
+the regularized linear system (A + lambda*I) delta = C for the direction
+(``sr_update``), and advances the flattened parameter vector along delta
+by a step length decided here, in ``ite_run``.  The sampled modes take
+fixed Euler steps dtau * delta: their energies are noisy.  Exact mode takes
 energy-accepted steps: the trial point theta + dt * delta is accepted when
 its exact energy does not rise, and dt then grows to min(GROWTH * dt, 1);
 otherwise dt is halved and the same delta tried again, at most MAX_TRIALS
@@ -20,7 +21,8 @@ the complex Hermitian covariance S of the D = P/2 distinct derivative
 columns, so the step solves the half-size complex system
 (S + lambda) u = C_SIGN F (the holomorphic SR of Carleo & Troyer, Science
 355, 602 (2017); Becca & Sorella, *Quantum Monte Carlo Approaches for
-Correlated Systems* (2017)) and reads delta off Re u and Im u; every
+Correlated Systems* (2017)); u is the complex direction [b, m, w
+column-major], and delta is its slot vector (``SrSystem.to_slots``); every
 eigenvalue of A is one of S, taken twice, so the spectrum that decides the
 solve and enters the trace comes from S.  Unitary-coupled parameters lack
 the Re w slots, A is no real form, and they keep the real solve.  The
@@ -46,7 +48,7 @@ from .estimators import (
     expectation_exact,
 )
 from .hamiltonians import PauliHamiltonian
-from .rbm import RbmParams, VariationalIndex
+from .rbm import RbmParams, VariationalIndex, random_init
 
 FD_STEP = 1e-5  # central-difference step of grad_check
 GROWTH = 1.1  # exact mode: factor on an accepted step for the next step
@@ -145,20 +147,23 @@ class GradCheckReport:
 
 
 def sr_update(
-    system: SrSystem, lam: float, dtau: float, evals: np.ndarray | None = None
+    system: SrSystem, lam: float, evals: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
-    """dtau * solve(A + lam*I, C), or an eigenvalue-truncated pseudo-inverse
-    (relative cutoff 1e-10) when the shifted matrix is not positive definite.
+    """The SR direction solve(A + lam*I, C), or an eigenvalue-truncated
+    pseudo-inverse (relative cutoff 1e-10) when the shifted matrix is not
+    positive definite; the step length is the caller's (``ite_run``).
 
     The solve runs on ``system.matrix`` and ``system.rhs``: A and C, or for
     unrestricted parameters the half-size complex system (S + lam) u =
-    C_SIGN F, whose solution ``system.to_slots`` maps to delta.  Every
-    eigenvalue of A is one of S, taken twice, so both forms give the same
-    spectrum, truncation and residual norm.  ``evals`` are the ascending
-    eigenvalues of ``system.matrix`` (``eigvalsh``), computed here when not
-    given; the shifted matrix counts as positive definite when
-    ``evals[0] + lam > 0``.  The system was checked finite and Hermitian
-    when it was built.  Returns (delta_theta, solve residual).
+    C_SIGN F, whose solution is the complex direction [b, m, w
+    column-major], mapped to delta by ``system.to_slots`` as ``flatten``
+    maps parameters.  Every eigenvalue of A is one of S, taken twice, so
+    both forms give the same spectrum, truncation and residual norm.
+    ``evals`` are the ascending eigenvalues of ``system.matrix``
+    (``eigvalsh``), computed here when not given; the shifted matrix counts
+    as positive definite when ``evals[0] + lam > 0``.  The system was
+    checked finite and Hermitian when it was built.  Returns (delta, solve
+    residual).
     """
     mat, rhs = system.matrix, system.rhs
     if evals is None:
@@ -172,7 +177,7 @@ def sr_update(
         inv = np.where(evals > cutoff, 1.0 / np.where(evals > cutoff, evals, 1.0), 0.0)
         u = evecs @ (inv * (evecs.T.conj() @ rhs))
     residual = float(np.linalg.norm(shifted @ u - rhs))
-    return dtau * system.to_slots(u), residual
+    return system.to_slots(u), residual
 
 
 def _build_system(params, h, cfg: IteConfig, step: int, point) -> SrSystem:
@@ -223,9 +228,7 @@ def ite_run(
     for step in range(cfg.n_steps):
         system = _build_system(params, h, cfg, step, point)
         evals = np.linalg.eigvalsh(system.matrix)
-        delta, residual = sr_update(
-            system, cfg.regularization, 1.0 if exact else cfg.dtau, evals
-        )
+        delta, residual = sr_update(system, cfg.regularization, evals)
         energy = system.energy.mean
 
         if exact:
@@ -234,7 +237,7 @@ def ite_run(
                 params = point.params
                 dt = min(GROWTH * t, 1.0)
         else:
-            t, next_theta, trials = cfg.dtau, theta + delta, 0
+            t, next_theta, trials = cfg.dtau, theta + cfg.dtau * delta, 0
             params = index.unflatten(next_theta)
         rows.append((
             step, tau, energy, system.energy.std_error, theta, float(evals[0]),
@@ -274,6 +277,8 @@ def mean_field_stage(
     """
     n = h.n_qubits
     m = n if n_hidden is None else n_hidden
+    # Drawn first, so a bad init_stddev is refused before the stage runs.
+    fresh = random_init(n, m, init_stddev, [cfg.seed, 0x5EED], unitary_coupled)
     stage_cfg = replace(cfg, n_steps=cfg.mean_field_steps, mode="exact")
     start = RbmParams(
         b=np.zeros(n, dtype=np.complex128),
@@ -282,11 +287,6 @@ def mean_field_stage(
         unitary_coupled=True,
     )
     product_params, _ = ite_run(start, h, stage_cfg)
-
-    reseed = np.random.default_rng([cfg.seed, 0x5EED])
-    index = VariationalIndex(n, m, unitary_coupled)
-    vec = reseed.normal(0.0, init_stddev, size=index.size)
-    fresh = index.unflatten(vec)
     return RbmParams(
         b=product_params.b,
         m=np.zeros(m, dtype=np.complex128),

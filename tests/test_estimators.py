@@ -69,9 +69,8 @@ class TestLocalObservable:
 
     def test_uniform_state_transverse_field(self):
         n = 3
-        h = PauliHamiltonian.from_terms(
-            [(-0.8, "".join("X" if i == j else "I" for i in range(n))) for j in range(n)]
-        )
+        words = ["".join("X" if i == j else "I" for i in range(n)) for j in range(n)]
+        h = PauliHamiltonian(n, tuple((-0.8, word) for word in words))
         p = zero_params(n, 2)
         for k in range(8):
             value = local_observable(p, index_to_spins(k, n), h)
@@ -569,7 +568,7 @@ class TestSrStructuralIdentities:
 
         def recording(s, g, layout):
             out = real_form(s, g, layout)
-            calls.append((s, g, layout.slots, out))
+            calls.append((s, g, out))
             return out
 
         monkeypatch.setattr(ucrbm.estimators, "_real_form", recording)
@@ -580,12 +579,34 @@ class TestSrStructuralIdentities:
         else:
             system = compute_a_c_sampled(p, h, 2000, np.random.default_rng(4), mode=mode)
         system.a
-        ((s, g, slots, (a, c)),) = calls
+        ((s, g, (a, c)),) = calls
+        slots = VariationalIndex.for_params(p).slot_columns()
         expected = np.block([[s.real, -s.imag], [s.imag, s.real]])[slots][:, slots]
         assert np.array_equal(a, expected)
         assert np.array_equal(np.signbit(a), np.signbit(expected))
         assert np.array_equal(c, np.concatenate([g.real, g.imag])[slots])
         assert a is system.a and c is system.c
+
+
+    @pytest.mark.parametrize("unitary", [True, False])
+    def test_to_slots_is_flatten_of_the_complex_step(self, unitary):
+        # the half-size solve's u is the complex step [b, m, w column-major],
+        # so its slot vector is flatten of those parameters, signed zeros
+        # included; the real solve of unitary couplings gives the slots
+        n, m = 3, 2
+        p = random_init(n, m, 0.3, 6, unitary)
+        system = compute_a_c_exact(p, build_tfi(n, 1.0))
+        rng = np.random.default_rng(6)
+        if unitary:
+            u = rng.normal(size=VariationalIndex.for_params(p).size)
+            assert system.to_slots(u) is u
+            return
+        d = n + m + n * m
+        u = rng.normal(size=d) + 1j * rng.normal(size=d)
+        u.view(np.float64)[::3] = -0.0
+        step = RbmParams(u[:n], u[n : n + m], u[n + m :].reshape(m, n).T)
+        want = VariationalIndex.for_params(step).flatten(step)
+        assert system.to_slots(u).tobytes() == want.tobytes()
 
 
 def distinct_columns(p, zmat):

@@ -1,4 +1,6 @@
 import inspect
+import itertools
+import re
 import warnings
 
 import numpy as np
@@ -70,6 +72,11 @@ class TestRandomInit:
     def test_rejects_negative_stddev(self):
         with pytest.raises(ValueError):
             random_init(2, 2, -0.1, 0, True)
+
+    @pytest.mark.parametrize("stddev", [np.nan, np.inf])
+    def test_rejects_non_finite_stddev(self, stddev):
+        with pytest.raises(ValueError, match="stddev must be finite"):
+            random_init(2, 2, stddev, 0, True)
 
 
 class TestLogAmplitude:
@@ -380,11 +387,11 @@ class TestVariationalIndex:
         assert len(VariationalIndex(3, 2, False).labels()) == 22
 
     def test_indices_of_one_shape_share_one_gather(self):
-        # the unflatten gather is built once per (N, M, ansatz), read-only
+        # the slot floats are built once per (N, M, ansatz), read-only
         a, b = VariationalIndex(4, 3, False), VariationalIndex(4, 3, False)
-        assert a._gather is b._gather
-        assert not a._gather.flags.writeable
-        assert VariationalIndex(4, 3, True)._gather is not a._gather
+        assert a.floats is b.floats
+        assert not a.floats.flags.writeable
+        assert VariationalIndex(4, 3, True).floats is not a.floats
 
     def test_unflatten_never_writes_real_couplings_under_flag(self):
         rng = np.random.default_rng(3)
@@ -401,6 +408,19 @@ class TestVariationalIndex:
         assert labels[8:12] == ["w_im[0,0]", "w_im[1,0]", "w_im[0,1]", "w_im[1,1]"]
         assert vec[labels.index("w_im[1,0]")] == p.w[1, 0].imag
         assert vec[labels.index("w_re[0,1]")] == p.w[0, 1].real
+        # every label names the parameter float that flatten puts in its slot
+        shapes = [(1, 0), (2, 2), (3, 2)]
+        for (n, m), unitary in itertools.product(shapes, [True, False]):
+            p = random_init(n, m, 0.5, 8, unitary)
+            index = VariationalIndex.for_params(p)
+            vec, labels = index.flatten(p), index.labels()
+            assert len(labels) == len(set(labels)) == index.size == vec.shape[0]
+            for slot, label in enumerate(labels):
+                found = re.fullmatch(r"([bmw])_(re|im)\[([\d,]+)\]", label)
+                name, part, at = found.groups()
+                entry = getattr(p, name)[tuple(int(k) for k in at.split(","))]
+                want = entry.real if part == "re" else entry.imag
+                assert np.array(vec[slot]).tobytes() == np.array(want).tobytes(), label
 
     @pytest.mark.parametrize("n,m,unitary", [(1, 0, True), (3, 2, True), (3, 2, False), (6, 6, False)])
     def test_unflatten_matches_the_complex_arithmetic_bitwise(self, n, m, unitary):

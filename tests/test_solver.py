@@ -36,15 +36,16 @@ def zero_params(n, m):
 
 
 class TestSrUpdate:
-    def test_identity_matrix_returns_scaled_c(self):
+    def test_identity_matrix_returns_c(self):
+        # the direction is unscaled: ite_run decides the step length
         c = np.array([1.0, -2.0, 0.5])
-        delta, residual = sr_update(make_system(np.eye(3), c), 0.0, 0.02)
-        np.testing.assert_allclose(delta, 0.02 * c, atol=1e-14)
+        delta, residual = sr_update(make_system(np.eye(3), c), 0.0)
+        assert np.array_equal(delta, c)
         assert residual < 1e-12
 
     def test_zero_c_is_stationary(self):
         a = np.diag([2.0, 3.0])
-        delta, _ = sr_update(make_system(a, np.zeros(2)), 1e-3, 0.01)
+        delta, _ = sr_update(make_system(a, np.zeros(2)), 1e-3)
         assert np.all(delta == 0.0)
 
     def test_spd_solve_residual(self):
@@ -53,13 +54,13 @@ class TestSrUpdate:
             root = rng.normal(size=(6, 6))
             a = root @ root.T + 0.1 * np.eye(6)
             c = rng.normal(size=6)
-            delta, residual = sr_update(make_system(a, c), 1e-3, 0.01)
+            delta, residual = sr_update(make_system(a, c), 1e-3)
             assert residual <= 1e-8 * np.linalg.norm(c)
 
     def test_singular_matrix_uses_truncated_pseudo_inverse(self):
         a = np.diag([1.0, 0.0])
         c = np.array([2.0, 3.0])
-        delta, _ = sr_update(make_system(a, c), 0.0, 1.0)
+        delta, _ = sr_update(make_system(a, c), 0.0)
         np.testing.assert_allclose(delta, [2.0, 0.0], atol=1e-10)
 
     def test_negative_shifted_eigenvalue_is_dropped(self):
@@ -68,9 +69,9 @@ class TestSrUpdate:
         a = np.diag([1.0, -0.5])
         c = np.array([2.0, 3.0])
         system = make_system(a, c)
-        delta, _ = sr_update(system, 0.1, 1.0)
+        delta, _ = sr_update(system, 0.1)
         np.testing.assert_allclose(delta, [2.0 / 1.1, 0.0], atol=1e-14)
-        given, _ = sr_update(system, 0.1, 1.0, np.linalg.eigvalsh(a))
+        given, _ = sr_update(system, 0.1, np.linalg.eigvalsh(a))
         assert np.array_equal(given, delta)
 
     def test_rejects_non_finite(self):
@@ -99,7 +100,7 @@ class TestHalfSizeSystem:
             a, c = system.a, system.c
             shifted = a + lam * np.eye(a.shape[0])
             expected = np.linalg.solve(shifted, c)
-            delta, residual = sr_update(system, lam, 1.0)
+            delta, residual = sr_update(system, lam)
             assert np.linalg.norm(delta - expected) <= 1e-12 * np.linalg.norm(expected)
             real_residual = np.linalg.norm(shifted @ delta - c)
             assert abs(residual - real_residual) <= 1e-12 * np.linalg.norm(c)
@@ -123,8 +124,8 @@ class TestHalfSizeSystem:
         assert system.layout is not None
         assert np.linalg.eigvalsh(system.matrix)[0] <= 0.0
         assert np.any(np.all(system.a == 0.0, axis=1))
-        delta, residual = sr_update(system, 0.0, 1.0)
-        real_delta, real_residual = sr_update(make_system(system.a, system.c), 0.0, 1.0)
+        delta, residual = sr_update(system, 0.0)
+        real_delta, real_residual = sr_update(make_system(system.a, system.c), 0.0)
         np.testing.assert_allclose(delta, real_delta, rtol=0, atol=1e-12)
         np.testing.assert_allclose(delta, np.linalg.pinv(system.a) @ system.c, atol=1e-12)
         assert residual == pytest.approx(real_residual, abs=1e-12)
@@ -136,8 +137,8 @@ class TestHalfSizeSystem:
             evals = np.linalg.eigvalsh(system.matrix)
             j = int(np.argmax(np.diff(evals)))
             lam = -0.5 * (evals[j] + evals[j + 1])
-            delta, residual = sr_update(system, lam, 1.0)
-            real_delta, real_residual = sr_update(make_system(system.a, system.c), lam, 1.0)
+            delta, residual = sr_update(system, lam)
+            real_delta, real_residual = sr_update(make_system(system.a, system.c), lam)
             assert np.linalg.norm(delta - real_delta) <= 1e-12 * np.linalg.norm(real_delta)
             assert residual == pytest.approx(real_residual, rel=1e-12)
 
@@ -495,6 +496,17 @@ class TestMeanFieldStage:
         assert stage.n_hidden == 2
         assert np.all(stage.m == 0.0)
         assert np.any(stage.w != 0.0)
+
+    @pytest.mark.parametrize("stddev", [-1.0, np.nan, np.inf])
+    def test_bad_init_stddev_is_refused_before_the_stage(self, monkeypatch, stddev):
+        import ucrbm.solver
+
+        def no_stage(*args):
+            raise AssertionError("the product stage ran before the refusal")
+
+        monkeypatch.setattr(ucrbm.solver, "ite_run", no_stage)
+        with pytest.raises(ValueError, match="stddev must be finite and non-negative"):
+            mean_field_stage(build_tfi(4, 0.5), IteConfig(), init_stddev=stddev)
 
     def test_reseed_is_deterministic(self):
         h = build_tfi(3, 0.5)
