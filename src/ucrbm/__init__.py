@@ -9,7 +9,6 @@ from .circuit import (
     BranchTable,
     EnsembleIdentityReport,
     enumerate_branches,
-    measure_visible,
     prepare_visible_product,
     recombined_statevector,
     verify_ensemble_identities,
@@ -103,7 +102,6 @@ __all__ = [
     "log_amplitude",
     "log_derivatives",
     "mean_field_stage",
-    "measure_visible",
     "prepare_visible_product",
     "r_factor",
     "random_init",

@@ -212,13 +212,6 @@ def measure_indices(
     return index
 
 
-def measure_visible(
-    state: StateVector, shots: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Born-rule samples from |amplitude|^2, returned as (shots, N) spins."""
-    return all_spin_configs(state.n_qubits)[measure_indices(state, shots, rng)]
-
-
 # ---------------------------------------------------------------------------
 # ensemble identity verification
 

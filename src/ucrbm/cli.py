@@ -17,7 +17,7 @@ import numpy as np
 from . import __version__
 from .circuit import verify_ensemble_identities
 from .errors import UcrbmError
-from .estimators import Estimate, expectation_ensemble, expectation_exact, expectation_vmc
+from .estimators import MODES, Estimate, expectation_ensemble, expectation_exact, expectation_vmc
 from .hamiltonians import (
     PauliHamiltonian,
     TqdParams,
@@ -70,11 +70,17 @@ def _add_model_flags(parser):
     group.add_argument("--n", type=int, help="chain length for tfi/afh")
     group.add_argument("--h", type=float, default=1.0, help="transverse field (tfi)")
     group.add_argument("--b-field", type=float, default=0.0, help="magnetic field in T (tqd)")
-    group.add_argument("--tqd-t", type=float, default=-0.23, help="hopping in meV (tqd)")
-    group.add_argument("--tqd-u", type=float, default=11.5, help="on-site repulsion (tqd)")
-    group.add_argument("--tqd-e", type=float, default=-0.23, help="on-site energy (tqd)")
-    group.add_argument("--tqd-g", type=float, default=-0.44, help="effective g factor (tqd)")
-    group.add_argument("--tqd-phi-per-b", type=float, default=1.25, help="flux per tesla (tqd)")
+    group.add_argument("--tqd-t", type=float, default=TqdParams.t, help="hopping in meV (tqd)")
+    group.add_argument("--tqd-u", type=float, default=TqdParams.u, help="on-site repulsion (tqd)")
+    group.add_argument(
+        "--tqd-e", type=float, default=TqdParams.e_site, help="on-site energy (tqd)"
+    )
+    group.add_argument(
+        "--tqd-g", type=float, default=TqdParams.g_star, help="effective g factor (tqd)"
+    )
+    group.add_argument(
+        "--tqd-phi-per-b", type=float, default=TqdParams.phi_per_b, help="flux per tesla (tqd)"
+    )
     group.add_argument(
         "--tqd-include-v",
         action="store_true",
@@ -291,6 +297,12 @@ def cmd_sample_bench(args) -> int:
 
 def cmd_identities(args) -> int:
     tol = args.tol
+    if args.seeds < 1:
+        raise UsageError("--seeds must be at least 1")
+    # "not" also refuses NaN, for which both "value <= tol" and
+    # "value > tol" are False.
+    if not 0 <= tol < np.inf:
+        raise UsageError("--tol must be finite and non-negative")
     violations: dict[str, float] = {}
 
     omegas = [0.3, -0.45, 0.2 + 0.5j, -0.1 - 0.35j]
@@ -315,27 +327,25 @@ def cmd_identities(args) -> int:
 
     ens_violation = 0.0
     prob_violation = 0.0
-    last_report = None
     for seed in range(args.seeds):
         params = random_init(2, 3, 0.15, seed, True)
         report = verify_ensemble_identities(params)
         ens_violation = max(ens_violation, report.max_violation())
         prob_violation = max(prob_violation, report.branch_prob_sum_error)
-        last_report = report
     violations["ensemble identities"] = ens_violation
     violations["branch probability sum"] = prob_violation
 
-    if args.corrupt and last_report is not None:
+    if args.corrupt:
         # negative control: a deliberately scaled success probability must trip
         violations["corrupted control"] = abs(
-            1.01 * last_report.success_prob_lhs - last_report.success_prob_rhs
+            1.01 * report.success_prob_lhs - report.success_prob_rhs
         )
 
     status = EXIT_OK
     for name, value in violations.items():
-        flag = "ok" if value <= tol else "FAIL"
-        print(f"{name:<28}{value:>12.3e}  {flag}")
-        if value > tol:
+        ok = value <= tol
+        print(f"{name:<28}{value:>12.3e}  {'ok' if ok else 'FAIL'}")
+        if not ok:
             status = EXIT_VERIFY
     return status
 
@@ -359,17 +369,19 @@ def build_parser() -> _Parser:
     p_ite.add_argument(
         "--dtau",
         type=float,
-        default=0.01,
+        default=IteConfig.dtau,
         help="Euler step in vmc and ensemble modes; initial step in exact mode",
     )
     p_ite.add_argument("--steps", type=int, default=2000)
-    p_ite.add_argument("--reg", type=float, default=1e-3, help="regularization lambda")
-    p_ite.add_argument("--mode", choices=("exact", "vmc", "ensemble"), default="exact")
-    p_ite.add_argument("--n-samples", type=int, default=4096)
+    p_ite.add_argument(
+        "--reg", type=float, default=IteConfig.regularization, help="regularization lambda"
+    )
+    p_ite.add_argument("--mode", choices=MODES, default=IteConfig.mode)
+    p_ite.add_argument("--n-samples", type=int, default=IteConfig.n_samples)
     p_ite.add_argument("--mean-field", action="store_true", help="two-stage init")
-    p_ite.add_argument("--mean-field-steps", type=int, default=400)
-    p_ite.add_argument("--conv-window", type=int, default=50)
-    p_ite.add_argument("--conv-threshold", type=float, default=1e-8)
+    p_ite.add_argument("--mean-field-steps", type=int, default=IteConfig.mean_field_steps)
+    p_ite.add_argument("--conv-window", type=int, default=IteConfig.convergence_window)
+    p_ite.add_argument("--conv-threshold", type=float, default=IteConfig.convergence_threshold)
     p_ite.add_argument("--trace-out", default="ucrbm_trace.csv")
     p_ite.add_argument("--params-out", default="ucrbm_params.txt")
     p_ite.add_argument("--snapshots-out", default=None)

@@ -27,7 +27,12 @@ band the doubling takes as it is, the whole pass takes the per-element
 log form (theta = m + zW, sum log cosh theta and np.tanh).  H psi comes
 from the ``apply_h`` gather.  Exact mode weighs every configuration:
 e = conj(psi) H psi is p E_loc with no division, so no row of vanishing
-amplitude can enter as 0 * inf and none is dropped.
+amplitude can enter as 0 * inf and none is dropped.  The dense pass is the
+one exact energy: ``expectation_exact`` is its estimate, and it and
+``compute_a_c_exact`` build that estimate through ``_exact_estimate``,
+which refuses a non-finite sum or an imaginary residue.  ``_check_size`` is
+the one size rule (N visible spins for N qubits): ``exact_point`` runs it
+before the dense pass and ``_draw_samples`` before any draw.
 
 The two sampled modes differ only in how they draw (``_draw_samples``, the
 one place that reads the mode).  Each draw is a ``_Draw``: per sample a
@@ -85,14 +90,7 @@ from . import _kernels
 from .circuit import measure_indices, sample_protocol_batch
 from .errors import DegenerateWeightError, NumericalIntegrityError
 from .hamiltonians import PauliHamiltonian, apply_h, connected_states, connected_structure
-from .rbm import (
-    RbmParams,
-    VariationalIndex,
-    dense_statevector,
-    exact_statevector,
-    log_amplitude,
-    spin_rows,
-)
+from .rbm import RbmParams, VariationalIndex, dense_statevector, log_amplitude, spin_rows
 from .spins import as_spins
 from .statevector import STATEVECTOR_CAP, StateVector, check_cap
 
@@ -201,15 +199,25 @@ def local_observable(params: RbmParams, z, h: PauliHamiltonian) -> complex:
 def expectation_exact(
     params: RbmParams, h: PauliHamiltonian, cap: int = STATEVECTOR_CAP
 ) -> Estimate:
-    """<Psi|H|Psi> by dense statevector and matrix-free application.  ``cap``
-    is the one size-cap override: the only exact oracle past STATEVECTOR_CAP."""
-    psi = exact_statevector(params, cap)
-    value = complex((psi.amplitudes.conj() * apply_h(h, psi)).sum())
+    """<Psi|H|Psi> from the dense pass (``exact_point``).  ``cap`` is the
+    one size-cap override: the only exact oracle past STATEVECTOR_CAP."""
+    return _exact_estimate(exact_point(params, h, cap).energy)
+
+
+def _exact_estimate(value: complex) -> Estimate:
+    """The exact-mode estimate of an energy sum conj(psi) H psi, refused
+    when it is non-finite or keeps an imaginary residue."""
     if not np.isfinite(value) or abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
         raise NumericalIntegrityError(
             f"non-finite value or imaginary residue in {value!r} for a Hermitian observable"
         )
     return Estimate(mean=float(value.real), std_error=0.0, n_samples=0, mode="exact")
+
+
+def _check_size(params: RbmParams, h: PauliHamiltonian) -> None:
+    """The one size rule of the estimators: N visible spins for N qubits."""
+    if params.n_visible != h.n_qubits:
+        raise ValueError("parameter count does not match the Hamiltonian")
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +244,7 @@ def _draw_samples(params, h, n_samples, rng, mode) -> _Draw:
     one place that reads the sampled mode."""
     if n_samples < 1:
         raise ValueError("need at least one sample")
+    _check_size(params, h)
     if mode == "vmc":
         point = exact_point(params, h)
         index = measure_indices(point.psi, n_samples, rng)
@@ -503,7 +512,7 @@ def _assemble_system(params, draw: _Draw) -> SrSystem:
 
 @dataclass(frozen=True)
 class ExactPoint:
-    """The dense pass of ``compute_a_c_exact`` and of vmc at ``params``: the
+    """The dense pass of the exact estimators and of vmc at ``params``: the
     float rows of ``all_spin_configs``, t = tanh of their hidden angles
     theta, the normalized psi, H psi, e = conj(psi) H psi and the energy
     E = sum e.  One construction gives both psi and t
@@ -518,12 +527,15 @@ class ExactPoint:
     energy: complex
 
 
-def exact_point(params: RbmParams, h: PauliHamiltonian) -> ExactPoint:
+def exact_point(
+    params: RbmParams, h: PauliHamiltonian, cap: int = STATEVECTOR_CAP
+) -> ExactPoint:
     """One dense pass over the 2^N configurations (``dense_statevector``),
     with H psi from the ``apply_h`` gather; ``energy.real`` is the exact
-    energy."""
+    energy.  The size rule and the cap are checked first."""
+    _check_size(params, h)
     n = params.n_visible
-    check_cap(n, STATEVECTOR_CAP)
+    check_cap(n, cap)
     psi, t = dense_statevector(params)
     hpsi = apply_h(h, psi)
     e = psi.amplitudes.conj() * hpsi
@@ -545,8 +557,7 @@ def compute_a_c_exact(
         point = exact_point(params, h)
     p = point.psi.probabilities()
     s, f = _moments(point.zmat, point.t, p, point.e - p * point.energy)
-    estimate = Estimate(mean=point.energy.real, std_error=0.0, n_samples=0, mode="exact")
-    return _slot_system(params, s, f, estimate)
+    return _slot_system(params, s, f, _exact_estimate(point.energy))
 
 
 def compute_a_c_sampled(

@@ -6,10 +6,12 @@ a Jordan-Wigner mapper for fermionic operators, the triple-quantum-dot
 Hubbard model with Peierls hopping phases, a plain-text file format, and
 matrix-free application plus dense exact diagonalization.
 
-Words are validated as strings; every computation then uses their (x, z)
-bit masks from ``_word_bits``: the Jordan-Wigner products, the connected
-structure and ``apply_h``.  The dense oracle ``dense_matrix`` keeps its own
-Kronecker construction from the characters.
+Terms are validated as strings by one per-term rule, ``_check_term``, that
+``PauliHamiltonian`` and ``parse_pauli_text`` both apply; every computation
+then uses the words' (x, z) bit masks from ``_word_bits``: the
+Jordan-Wigner products, the connected structure and ``apply_h``.  The
+dense oracle ``dense_matrix`` keeps its own Kronecker construction from
+the characters.
 """
 
 from __future__ import annotations
@@ -55,28 +57,34 @@ class PauliHamiltonian:
             raise ValueError("n_qubits must be at least 1")
         if not self.terms:
             raise ValueError("terms must hold at least one Pauli word")
-        seen = set()
-        terms = []
+        terms: dict[str, float] = {}
         for coeff, word in self.terms:
-            if len(word) != self.n_qubits or any(c not in PAULI_CHARS for c in word):
-                raise ValueError(f"bad Pauli word {word!r} for {self.n_qubits} qubits")
-            if word in seen:
+            value, word = _check_term(coeff, word, self.n_qubits)
+            if word in terms:
                 raise ValueError(f"duplicate Pauli word {word!r}")
-            seen.add(word)
-            # as in parse_pauli_text: a complex coefficient must be real
-            if np.asarray(coeff).dtype.kind not in "biufc":
-                raise ValueError(f"non-numeric coefficient {coeff!r} for {word!r}")
-            value = complex(coeff)
-            if value.imag != 0.0:
-                raise HermiticityError(f"coefficient {coeff!r} of {word!r} is not real")
-            if not np.isfinite(value.real):
-                raise ValueError(f"non-finite coefficient for {word!r}")
-            terms.append((value.real, str(word)))
-        object.__setattr__(self, "terms", tuple(terms))
+            terms[word] = value
+        object.__setattr__(self, "terms", tuple((c, w) for w, c in terms.items()))
 
     @property
     def n_terms(self) -> int:
         return len(self.terms)
+
+
+def _check_term(coeff, word, n_qubits: int) -> tuple[float, str]:
+    """The one rule for a single term: a word of ``n_qubits`` characters
+    from I, X, Y, Z and a numeric, real, finite coefficient.  Returns the
+    term as (float, str); a non-real coefficient is a HermiticityError,
+    every other fault a ValueError."""
+    if len(word) != n_qubits or any(c not in PAULI_CHARS for c in word):
+        raise ValueError(f"bad Pauli word {word!r} for {n_qubits} qubits")
+    if np.asarray(coeff).dtype.kind not in "biufc":
+        raise ValueError(f"non-numeric coefficient {coeff!r} for {word!r}")
+    value = complex(coeff)
+    if value.imag != 0.0:
+        raise HermiticityError(f"coefficient {coeff!r} of {word!r} is not real")
+    if not np.isfinite(value.real):
+        raise ValueError(f"non-finite coefficient {value.real!r} for {word!r}")
+    return value.real, str(word)
 
 
 @dataclass(frozen=True)
@@ -293,9 +301,12 @@ def build_tqd(
 
 
 def parse_pauli_text(text: str) -> PauliHamiltonian:
+    """Parse the text format.  Each term is held to ``_check_term``, the
+    rule ``PauliHamiltonian`` applies, with the first word fixing the width;
+    every error names its line."""
     terms: list[tuple[float, str]] = []
     seen: dict[str, int] = {}
-    width = None
+    width = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -307,33 +318,21 @@ def parse_pauli_text(text: str) -> PauliHamiltonian:
             )
         coeff_tok, word = tokens
         try:
-            coeff = float(coeff_tok)
+            coeff = complex(coeff_tok)
         except ValueError:
-            try:
-                cval = complex(coeff_tok)
-            except ValueError:
-                raise PauliFileError(f"bad coefficient {coeff_tok!r}", lineno) from None
-            if cval.imag != 0.0:
-                raise HermiticityError(
-                    f"line {lineno}: coefficient {coeff_tok!r} is not real"
-                ) from None
-            coeff = cval.real
-        if not np.isfinite(coeff):
-            raise PauliFileError(f"non-finite coefficient {coeff_tok!r}", lineno)
-        if any(c not in PAULI_CHARS for c in word):
-            raise PauliFileError(f"bad Pauli word {word!r}", lineno)
-        if width is None:
-            width = len(word)
-        elif len(word) != width:
-            raise PauliFileError(
-                f"word {word!r} has length {len(word)}, expected {width}", lineno
-            )
+            raise PauliFileError(f"bad coefficient {coeff_tok!r}", lineno) from None
+        width = width or len(word)
+        try:
+            terms.append(_check_term(coeff, word, width))
+        except HermiticityError as exc:
+            raise HermiticityError(f"line {lineno}: {exc}") from None
+        except ValueError as exc:
+            raise PauliFileError(str(exc), lineno) from None
         if word in seen:
             raise PauliFileError(
                 f"duplicate word {word!r} (first seen on line {seen[word]})", lineno
             )
         seen[word] = lineno
-        terms.append((coeff, word))
     if not terms:
         raise PauliFileError("no terms found")
     return PauliHamiltonian(width, tuple(terms))

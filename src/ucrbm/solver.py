@@ -215,9 +215,9 @@ def ite_run(
 ) -> tuple[RbmParams, IteTrace]:
     """Run the imaginary-time loop; returns the final parameters and the
     per-step trace.  Stops early when the energy spread over the trailing
-    convergence window falls below the threshold."""
-    if params0.n_visible != h.n_qubits:
-        raise ValueError("parameter count does not match the Hamiltonian")
+    convergence window falls below the threshold.  The estimators refuse
+    parameters whose visible count is not the qubit count of ``h`` when the
+    first step's system is built."""
     index = VariationalIndex.for_params(params0)
     theta = index.flatten(params0)
     params = params0

@@ -12,7 +12,6 @@ from ucrbm.circuit import (
     apply_hidden_block,
     enumerate_branches,
     measure_indices,
-    measure_visible,
     prepare_visible_product,
     project_hidden_outcome,
     recombined_statevector,
@@ -380,13 +379,15 @@ class TestMeasureVisible:
     def test_basis_state_measures_itself(self):
         amps = np.zeros(4)
         amps[0] = 1.0
-        shots = measure_visible(StateVector(2, amps), 25, np.random.default_rng(0))
+        shots = all_spin_configs(2)[
+            measure_indices(StateVector(2, amps), 25, np.random.default_rng(0))
+        ]
         assert np.all(shots == 1)
 
     def test_uniform_state_frequencies(self):
         p = zero_params(3, 0)
         sv = prepare_visible_product(p)
-        shots = measure_visible(sv, 100_000, np.random.default_rng(12))
+        shots = all_spin_configs(3)[measure_indices(sv, 100_000, np.random.default_rng(12))]
         idx = np.array([spins_to_index(z) for z in shots])
         counts = np.bincount(idx, minlength=8)
         sigma = np.sqrt(0.125 * 0.875 / 100_000)
@@ -398,7 +399,7 @@ class TestMeasureVisible:
         p = random_init(3, 2, 0.5, 9, True)
         sv = exact_statevector(p)
         n_shots = 50_000
-        shots = measure_visible(sv, n_shots, np.random.default_rng(4))
+        shots = all_spin_configs(3)[measure_indices(sv, n_shots, np.random.default_rng(4))]
         idx = np.array([spins_to_index(z) for z in shots])
         counts = np.bincount(idx, minlength=8)
         expected = sv.probabilities() * n_shots

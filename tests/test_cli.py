@@ -222,6 +222,18 @@ class TestIdentities:
         out = capsys.readouterr().out
         assert "ensemble identities" in out and "FAIL" not in out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--seeds", "0"], ["--seeds", "-2"], ["--seeds", "0", "--corrupt"],
+         ["--tol", "nan"], ["--tol", "inf"], ["--tol=-1e-8"]],
+    )
+    def test_bad_seeds_or_tol_are_usage_errors(self, capsys, flags):
+        # no seed runs no conversion or ensemble case, and NaN compares
+        # False both ways, so either would print verdicts it never tested
+        assert run_cli(["identities", *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage error" in captured.err
+
     def test_corrupt_flag_fails(self, capsys):
         assert run_cli(["identities", "--seeds", "2", "--corrupt"]) == 3
         assert "FAIL" in capsys.readouterr().out

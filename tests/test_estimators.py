@@ -9,7 +9,7 @@ import ucrbm.estimators
 from ucrbm.circuit import (
     distinct_rows,
     enumerate_branches,
-    measure_visible,
+    measure_indices,
     sample_protocol_batch,
 )
 from ucrbm.errors import DegenerateWeightError, NumericalIntegrityError, SizeCapError
@@ -458,7 +458,8 @@ class TestVmcDensePass:
         h = build_tfi(n, 0.5)
         p = random_init(n, n, 0.3, seed, True)
         draw = _draw_samples(p, h, 500, np.random.default_rng(seed), "vmc")
-        want = measure_visible(exact_statevector(p), 500, np.random.default_rng(seed))
+        index = measure_indices(exact_statevector(p), 500, np.random.default_rng(seed))
+        want = all_spin_configs(n)[index]
         assert draw.n_rows == 1 << n
         assert np.array_equal(draw.rows_of(draw.inverse)[0], want)
 
@@ -526,6 +527,29 @@ class TestStatevectorCap:
         # N = 15 exceeds the fixed statevector cap of 14
         with pytest.raises(SizeCapError, match="15 qubits"):
             build(random_init(15, 1, 0.1, 0, True), build_tfi(15, 0.5))
+
+
+class TestSizeRule:
+    # one rule, checked by exact_point and by _draw_samples before the draw:
+    # N visible spins for the Hamiltonian's N qubits
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda p, h, rng: expectation_exact(p, h),
+            lambda p, h, rng: compute_a_c_exact(p, h),
+            lambda p, h, rng: expectation_vmc(p, h, 50, rng),
+            lambda p, h, rng: expectation_ensemble(p, h, 50, rng),
+            lambda p, h, rng: compute_a_c_sampled(p, h, 50, rng, mode="vmc"),
+            lambda p, h, rng: compute_a_c_sampled(p, h, 50, rng, mode="ensemble"),
+        ],
+        ids=["exact", "exact-system", "vmc", "ensemble", "vmc-system", "ensemble-system"],
+    )
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_every_door_refuses_a_size_mismatch_before_drawing(self, estimate, n):
+        rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+        with pytest.raises(ValueError, match="parameter count does not match the Hamiltonian"):
+            estimate(random_init(n, 2, 0.3, 0, True), build_tfi(3, 0.5), rng)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestSrStructuralIdentities:

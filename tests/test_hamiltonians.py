@@ -448,6 +448,40 @@ class TestPauliHamiltonianValidation:
         with pytest.raises(ValueError, match="non-numeric coefficient .* for 'Y'"):
             PauliHamiltonian(1, ((coeff, "Y"),))
 
+    def test_constructor_and_parser_hold_terms_to_one_rule(self):
+        # random term sets with bad characters, ragged words, duplicates and
+        # complex, non-real and non-finite coefficients, several faults at
+        # once among them: both doors accept the same sets as the same terms
+        # and refuse the rest with the same kind of error
+        words = ["XZ", "ZZ", "IY", "XQ", "XYZ", "Z"]
+        coeffs = [0.5, -1.25, 0.0, -1e300, 1 + 0j, 2 - 0j, 0.5 + 1e-3j, 1j,
+                  float("nan"), float("-inf"), complex("nan")]
+
+        def outcome(build):
+            try:
+                return build().terms
+            except HermiticityError:
+                return HermiticityError
+            except PauliFileError:
+                return PauliFileError
+            except ValueError:
+                return ValueError
+
+        rng = np.random.default_rng(3)
+        seen = set()
+        for _ in range(400):
+            k = int(rng.integers(1, 5))
+            terms = tuple(
+                (coeffs[i], words[j])
+                for i, j in zip(rng.integers(0, len(coeffs), k), rng.integers(0, len(words), k))
+            )
+            text = "".join(f"{c!r} {w}\n" for c, w in terms)
+            direct = outcome(lambda: PauliHamiltonian(len(terms[0][1]), terms))
+            parsed = outcome(lambda: parse_pauli_text(text))
+            assert parsed == {ValueError: PauliFileError}.get(direct, direct), terms
+            seen.add(direct if isinstance(direct, type) else tuple)
+        assert seen == {tuple, HermiticityError, ValueError}
+
     @pytest.mark.parametrize(
         "n_qubits, terms, field",
         [(2, (), "terms"), (-1, (), "n_qubits"), (0, ((1.0, ""),), "n_qubits")],

@@ -513,8 +513,13 @@ class TestValidation:
 class TestSizeCapPolicy:
     def test_no_per_call_cap_or_tolerance_knobs(self):
         # caps are declared once beside check_cap; expectation_exact's cap,
-        # passed through to exact_statevector, is the one override
-        allowed = {("expectation_exact", "cap"), ("exact_statevector", "cap")}
+        # passed through to exact_point, is the one override of the
+        # estimators, and exact_statevector takes the same override
+        allowed = {
+            ("expectation_exact", "cap"),
+            ("exact_point", "cap"),
+            ("exact_statevector", "cap"),
+        }
         knobs = {"cap", "hidden_cap", "drop_tol", "fd_step"}
         found = set()
         for module in (circuit, estimators, hamiltonians, identities, rbm, solver):

@@ -223,6 +223,18 @@ class TestIteRun:
         with pytest.raises(NumericalIntegrityError, match="^step 2: A has non-finite"):
             ite_run(random_init(2, 2, 0.1, 1, True), h, IteConfig(n_steps=5))
 
+    def test_exact_trace_energy_refuses_an_imaginary_residue(self, monkeypatch):
+        # the exact energy of every trace row passes the residue check of
+        # expectation_exact, and the error names its step
+        import ucrbm.estimators
+
+        apply_h = ucrbm.estimators.apply_h
+        monkeypatch.setattr(
+            ucrbm.estimators, "apply_h", lambda h, psi: apply_h(h, psi) + 1j * psi.amplitudes
+        )
+        with pytest.raises(NumericalIntegrityError, match="^step 0: .*imaginary residue"):
+            ite_run(random_init(2, 2, 0.1, 1, True), build_tfi(2, 0.5), IteConfig(n_steps=3))
+
     def test_early_stop_triggers(self):
         h = build_tfi(2, 0.5)
         p0 = random_init(2, 2, 0.1, 1, True)
