@@ -266,6 +266,8 @@ def _z_score(est: Estimate, reference: float) -> float:
 
 
 def cmd_sample_bench(args) -> int:
+    if args.n_samples < 1:
+        raise UsageError("--n-samples must be at least 1")
     h = _resolve_model(args)
     n = h.n_qubits
     m = _resolve_hidden(args, n)

@@ -62,7 +62,11 @@ entry of E[conj(x) x^T] is the weighted mean of a visible monomial (1,
 z_i, z_i z_i') times a hidden one (1, t_j, conj(t_j) t_j') or its
 conjugate, with t = tanh theta.  One real GEMM over the distinct rows,
 (1 + N + N(N-1)/2) visible against 2 (1 + M + M(M+1)/2) hidden floats,
-gives all of them; E[conj(x) x^T] and E[x] are gathers from it, S is the
+gives all of them.  The visible monomials of the 2^N dense rows that exact
+mode passes are built once per N and cached read-only; sampled rows build
+theirs.  The weighted hidden monomials are built hidden-major, each a
+contiguous row over the U rows, and transposed once into the row-major
+GEMM operand.  E[conj(x) x^T] and E[x] are gathers from the GEMM, S is the
 first minus conj(E x) E[x]^T, averaged with its conjugate transpose so
 that it is Hermitian bitwise, and F is one product of [1, z] against
 conj([1, t]) times the energy terms.  At N = M = 10 that is 7.4k real
@@ -79,6 +83,7 @@ and Hermitian, else ``NumericalIntegrityError``.
 
 from __future__ import annotations
 
+import cmath
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -150,9 +155,9 @@ class SrSystem:
         if mat.shape != (rhs.shape[0], rhs.shape[0]):
             raise ValueError("SR matrix and right-hand side dimensions are inconsistent")
         for name, arr in (("matrix", mat), ("right-hand side", rhs)):
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise NumericalIntegrityError(f"SR {name} has non-finite entries")
-        asym = float(np.max(np.abs(mat - mat.T.conj()), initial=0.0))
+        asym = float(np.abs(mat - mat.T.conj()).max(initial=0.0))
         if asym > 1e-10:
             raise NumericalIntegrityError(f"SR matrix is asymmetric by {asym:.3e}")
 
@@ -207,7 +212,7 @@ def expectation_exact(
 def _exact_estimate(value: complex) -> Estimate:
     """The exact-mode estimate of an energy sum conj(psi) H psi, refused
     when it is non-finite or keeps an imaginary residue."""
-    if not np.isfinite(value) or abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
+    if not cmath.isfinite(value) or abs(value.imag) > 1e-8 * max(1.0, abs(value.real)):
         raise NumericalIntegrityError(
             f"non-finite value or imaginary residue in {value!r} for a Hermitian observable"
         )
@@ -403,6 +408,31 @@ def _moment_layout(n_visible: int, n_hidden: int) -> _MomentLayout:
     return layout
 
 
+def _visible_monomials(zmat):
+    """The visible monomials 1, z_i and z_i z_i' (i < i', in
+    ``triu_indices`` order) of U float spin rows, as (1 + N + N(N-1)/2, U)
+    rows, so that each pair block is one contiguous multiply and the GEMM
+    reads them with unit stride."""
+    u, n = zmat.shape
+    zm = np.empty((1 + n + n * (n - 1) // 2, u))
+    zm[0] = 1.0
+    zm[1 : 1 + n] = zmat.T
+    start = 1 + n
+    for i in range(n - 1):
+        np.multiply(zm[1 + i], zm[2 + i : 1 + n], out=zm[start : start + n - 1 - i])
+        start += n - 1 - i
+    return zm
+
+
+@lru_cache(maxsize=2)
+def _dense_monomials(n: int) -> np.ndarray:
+    """Read-only ``_visible_monomials`` of the dense rows ``spin_rows(n)``,
+    built once per N.  Two entries at most: at N = 14 one holds 13.9 MB."""
+    zm = _visible_monomials(spin_rows(n))
+    zm.flags.writeable = False
+    return zm
+
+
 def _moments(zmat, t, wn, g):
     """S = sum_k wn_k conj(x_k - mean) (x_k - mean)^T and
     F = sum_k conj(x_k - mean) g_k, mean = sum_k wn_k x_k, over the D
@@ -413,46 +443,49 @@ def _moments(zmat, t, wn, g):
     visible monomial (1, z_i, z_i z_i') times a hidden one (1, t_j,
     conj(t_j) t_j'), from one real GEMM of the visible monomials against
     the float view of the hidden ones; E[conj(x) x^T] and the mean are
-    gathers from G (``_moment_layout``).  F is one product of [1, z]
-    against conj([1, t]) g.
+    gathers from G (``_moment_layout``).  The visible monomials of the
+    dense rows ``spin_rows(N)``, which exact mode passes, come from a
+    per-N cache (``_dense_monomials``); other rows build theirs.  The
+    weighted hidden monomials are built hidden-major, one contiguous row
+    over the U rows each (the pairs conj(t_j) t_j', j' >= j, in one
+    multiply per j), and transposed once into the row-major GEMM operand.
+    F is one product of [1, z] against conj([1, t]) g.
     """
     u, n = zmat.shape
     m = t.shape[1]
     layout = _moment_layout(n, m)
-    # Visible monomials as rows, so that each pair block is one contiguous
-    # multiply and the GEMM reads both operands with unit stride.
-    zm = np.empty((1 + n + n * (n - 1) // 2, u))
-    zm[0] = 1.0
-    zm[1 : 1 + n] = zmat.T
-    start = 1 + n
-    for i in range(n - 1):
-        np.multiply(zm[1 + i], zm[2 + i : 1 + n], out=zm[start : start + n - 1 - i])
-        start += n - 1 - i
-    tm = np.empty((u, 1 + m + m * (m + 1) // 2), dtype=np.complex128)
-    tm[:, 0] = wn
-    np.multiply(t, wn[:, None], out=tm[:, 1 : 1 + m])
-    tc = t.conj()
+    zm = _dense_monomials(n) if zmat is spin_rows(n) else _visible_monomials(zmat)
+    th = np.empty((1 + m + m * (m + 1) // 2, u), dtype=np.complex128)
+    th[0] = wn
+    tw = th[1 : 1 + m]
+    np.multiply(t.T, wn, out=tw)
+    tc = t.T.conj()
     start = 1 + m
     for j in range(m):
-        np.multiply(tc[:, j : j + 1], tm[:, 1 + j : 1 + m], out=tm[:, start : start + m - j])
+        np.multiply(tc[j], tw[j:], out=th[start : start + m - j])
         start += m - j
-    moments = (zm @ tm.view(np.float64)).view(np.complex128).ravel()
+    moments = (zm @ th.T.copy().view(np.float64)).view(np.complex128).ravel()
     s = moments[layout.s_index]
     np.conjugate(s, out=s, where=layout.s_conj)
     mean = moments[layout.mean_index]
+    mean_conj = mean.conj()
     tg = np.empty((u, 1 + m), dtype=np.complex128)
     tg[:, 0] = g
-    np.multiply(tc, g[:, None], out=tg[:, 1:])
+    np.multiply(tc.T, g[:, None], out=tg[:, 1:])
     f = (zm[: 1 + n] @ tg.view(np.float64)).view(np.complex128).ravel()
     # The weights sum to 1 and g to 0 only to rounding, about U eps.  The
     # first moments (sum w, sum g) keep S and F at the centred sums
     # sum w conj(x - mean) (x - mean)^T and sum conj(x - mean) g, which
     # matters where a column's variance is far below its squared mean.
-    s -= (2.0 - moments[0].real) * np.multiply.outer(mean.conj(), mean)
+    outer = np.multiply.outer(mean_conj, mean)
+    outer *= 2.0 - moments[0].real
+    s -= outer
     # Averaging S with its conjugate transpose makes it Hermitian bitwise,
     # so its diagonal is real and each column's Re/Im pair entry of A,
     # -Im S_xx, is exactly 0.
-    return 0.5 * (s + s.conj().T), f[layout.f_index] - mean.conj() * f[0]
+    s += s.conj().T
+    s *= 0.5
+    return s, f[layout.f_index] - mean_conj * f[0]
 
 
 class _SlotLayout(NamedTuple):

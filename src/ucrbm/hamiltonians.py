@@ -53,6 +53,9 @@ class PauliHamiltonian:
     terms: tuple[tuple[float, str], ...]
 
     def __post_init__(self):
+        # bool is an int subclass, numpy integers are not
+        if isinstance(self.n_qubits, bool) or not isinstance(self.n_qubits, (int, np.integer)):
+            raise ValueError(f"n_qubits must be an integer, got {self.n_qubits!r}")
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be at least 1")
         if not self.terms:

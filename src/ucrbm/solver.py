@@ -161,14 +161,17 @@ def sr_update(
     both forms give the same spectrum, truncation and residual norm.
     ``evals`` are the ascending eigenvalues of ``system.matrix``
     (``eigvalsh``), computed here when not given; the shifted matrix counts
-    as positive definite when ``evals[0] + lam > 0``.  The system was
-    checked finite and Hermitian when it was built.  Returns (delta, solve
-    residual).
+    as positive definite when ``evals[0] + lam > 0``.  The shift is added in
+    place to the diagonal of a copy, so ``system.matrix`` is left as it
+    was.  The system was checked finite and Hermitian when it was built.
+    Returns (delta, solve residual).
     """
     mat, rhs = system.matrix, system.rhs
     if evals is None:
         evals = np.linalg.eigvalsh(mat)
-    shifted = mat + lam * np.eye(mat.shape[0])
+    shifted = mat.copy()
+    diagonal = shifted.reshape(-1)[:: mat.shape[0] + 1]
+    diagonal += lam
     if evals[0] + lam > 0.0:
         u = np.linalg.solve(shifted, rhs)
     else:

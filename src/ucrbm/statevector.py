@@ -37,7 +37,7 @@ class StateVector:
                 f"amplitude vector of length {amps.shape} does not match "
                 f"{self.n_qubits} qubits"
             )
-        if not np.all(np.isfinite(amps.view(np.float64))):
+        if not np.isfinite(amps.view(np.float64)).all():
             raise ValueError("non-finite amplitude")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)

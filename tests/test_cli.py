@@ -67,6 +67,24 @@ class TestUsageErrors:
         assert not trace.exists()
 
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_sample_bench_needs_a_sample_before_any_estimate(self, monkeypatch, capsys, count):
+        # the count used to be refused by the vmc draw, exit 2, after the
+        # exact energy had been computed
+        import ucrbm.cli
+
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("an estimate ran before the usage check")
+
+        monkeypatch.setattr(ucrbm.cli, "expectation_exact", no_estimate)
+        code = run_cli(
+            ["sample-bench", "--model", "tfi", "--n", "2", f"--n-samples={count}"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage error" in captured.err
+        assert "--n-samples" in captured.err
+
     @pytest.mark.parametrize("command", ["ite", "sample-bench"])
     @pytest.mark.parametrize("alpha", ["inf", "nan", "1e308"])
     def test_alpha_without_a_finite_hidden_count_is_usage_error(self, tmp_path, capsys, command, alpha):

@@ -20,12 +20,15 @@ from ucrbm.estimators import (
     SrSystem,
     _assemble_system,
     _check_weights,
+    _dense_monomials,
     _draw_samples,
     _evaluate_samples,
     _moment_layout,
     _moments,
     _real_form,
     _slot_layout,
+    _slot_system,
+    _visible_monomials,
     compute_a_c_exact,
     compute_a_c_sampled,
     exact_point,
@@ -48,6 +51,7 @@ from ucrbm.rbm import (
     exact_statevector,
     log_derivatives_batch,
     random_init,
+    spin_rows,
 )
 from ucrbm.solver import IteConfig, ite_run
 from ucrbm.spins import all_spin_configs, index_to_spins
@@ -710,6 +714,34 @@ class TestMoments:
         assert _moment_layout(3, 2) is layout
         for arr in layout:
             assert not arr.flags.writeable
+
+    def test_dense_monomials_are_cached_and_read_only(self):
+        zm = _dense_monomials(3)
+        assert _dense_monomials(3) is zm and not zm.flags.writeable
+        assert np.array_equal(zm, _visible_monomials(all_spin_configs(3).astype(np.float64)))
+        # bounded: one N = 14 entry holds 13.9 MB
+        assert _dense_monomials.cache_info().maxsize == 2
+
+    @pytest.mark.parametrize("unitary", [True, False])
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("m", [0, 2, 4])
+    def test_exact_system_matches_centred_oracle(self, unitary, n, m):
+        # compute_a_c_exact passes the dense rows, whose monomials come from
+        # the per-N cache
+        h = random_pauli_hamiltonian(np.random.default_rng(n), n, 3)
+        p = random_init(n, m, 0.5, 7, unitary)
+        point = exact_point(p, h)
+        assert point.zmat is spin_rows(n)
+        system = compute_a_c_exact(p, h, point)
+        prob = point.psi.probabilities()
+        x = distinct_columns(p, point.zmat)
+        xc = x - prob @ x
+        want = _slot_system(
+            p, (xc.conj().T * prob) @ xc, xc.conj().T @ (point.e - prob * point.energy),
+            system.energy,
+        )
+        np.testing.assert_allclose(system.a, want.a, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(system.c, want.c, rtol=0, atol=1e-13)
 
 
 class TestWeightedEstimatorUnbiasedness:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -492,3 +494,18 @@ class TestPauliHamiltonianValidation:
         # qubit count fails only in exact_ground's shift
         with pytest.raises(ValueError, match=field):
             PauliHamiltonian(n_qubits, terms)
+
+    @pytest.mark.parametrize(
+        "n_qubits, word",
+        [(2.0, "ZZ"), (True, "Z"), (np.float64(3.0), "XYZ"), (np.bool_(True), "X"), ("2", "ZZ")],
+    )
+    def test_rejects_a_non_integer_qubit_count(self, n_qubits, word):
+        # 2.0 used to build and then fail inside numpy's right_shift in
+        # expectation_exact; True built as one qubit
+        with pytest.raises(ValueError, match=re.escape(f"n_qubits must be an integer, got {n_qubits!r}")):
+            PauliHamiltonian(n_qubits, ((1.0, word),))
+
+    def test_numpy_integer_qubit_count_is_accepted(self):
+        h = PauliHamiltonian(np.int64(2), ((1.0, "ZZ"), (0.5, "XI")))
+        assert h.n_qubits == 2
+        assert exact_ground(h)[0] == pytest.approx(-np.sqrt(1.25))

@@ -74,6 +74,27 @@ class TestSrUpdate:
         given, _ = sr_update(system, 0.1, np.linalg.eigvalsh(a))
         assert np.array_equal(given, delta)
 
+    @pytest.mark.parametrize("unitary", [False, True])
+    def test_leaves_the_system_unchanged(self, unitary):
+        # the shift goes onto the diagonal of a copy: neither the half-size
+        # complex S nor the real unitary-coupled A changes
+        system = compute_a_c_exact(random_init(3, 2, 0.3, 1, unitary), build_tfi(3, 0.7))
+        assert (system.layout is None) == unitary
+        assert system.matrix.dtype == (np.float64 if unitary else np.complex128)
+        before = system.matrix.tobytes(), system.rhs.tobytes()
+        sr_update(system, 1e-3)
+        assert (system.matrix.tobytes(), system.rhs.tobytes()) == before
+
+    def test_fallback_leaves_a_singular_system_unchanged(self):
+        # -0.0 on the diagonal: adding the shift 0 in place would make it +0.0
+        a = np.array([[1.0, 0.0, 0.0], [0.0, -0.0, 0.0], [0.0, 0.0, 2.0]])
+        c = np.array([2.0, 3.0, -1.0])
+        system = make_system(a, c)
+        before = system.matrix.tobytes(), system.rhs.tobytes()
+        delta, _ = sr_update(system, 0.0)
+        np.testing.assert_allclose(delta, [2.0, 0.0, -0.5], atol=1e-14)
+        assert (system.matrix.tobytes(), system.rhs.tobytes()) == before
+
     def test_rejects_non_finite(self):
         # the system is checked when it is built, so sr_update never sees it
         with pytest.raises(NumericalIntegrityError, match="non-finite"):
