@@ -62,9 +62,10 @@ entry of E[conj(x) x^T] is the weighted mean of a visible monomial (1,
 z_i, z_i z_i') times a hidden one (1, t_j, conj(t_j) t_j') or its
 conjugate, with t = tanh theta.  One real GEMM over the distinct rows,
 (1 + N + N(N-1)/2) visible against 2 (1 + M + M(M+1)/2) hidden floats,
-gives all of them.  The visible monomials of the 2^N dense rows that exact
-mode passes are built once per N and cached read-only; sampled rows build
-theirs.  The weighted hidden monomials are built hidden-major, each a
+gives all of them.  The visible monomials of the 2^N dense rows are built
+once per N and cached read-only for exact mode (``_dense_monomials``); the
+sampled modes build those of their distinct rows and never touch the 2^N
+rows.  The weighted hidden monomials are built hidden-major, each a
 contiguous row over the U rows, and transposed once into the row-major
 GEMM operand.  E[conj(x) x^T] and E[x] are gathers from the GEMM, S is the
 first minus conj(E x) E[x]^T, averaged with its conjugate transpose so
@@ -84,6 +85,7 @@ and Hermitian, else ``NumericalIntegrityError``.
 from __future__ import annotations
 
 import cmath
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -433,28 +435,28 @@ def _dense_monomials(n: int) -> np.ndarray:
     return zm
 
 
-def _moments(zmat, t, wn, g):
+def _moments(zm, t, wn, g):
     """S = sum_k wn_k conj(x_k - mean) (x_k - mean)^T and
     F = sum_k conj(x_k - mean) g_k, mean = sum_k wn_k x_k, over the D
-    distinct derivative columns x of U rows of float spins ``zmat`` with
-    tanh ``t``.
+    distinct derivative columns x of U rows of float spins with visible
+    monomials ``zm`` (``_visible_monomials``) and tanh ``t``.
 
     No (U, D) column array is built.  G holds every weighted moment of a
     visible monomial (1, z_i, z_i z_i') times a hidden one (1, t_j,
     conj(t_j) t_j'), from one real GEMM of the visible monomials against
     the float view of the hidden ones; E[conj(x) x^T] and the mean are
-    gathers from G (``_moment_layout``).  The visible monomials of the
-    dense rows ``spin_rows(N)``, which exact mode passes, come from a
-    per-N cache (``_dense_monomials``); other rows build theirs.  The
-    weighted hidden monomials are built hidden-major, one contiguous row
-    over the U rows each (the pairs conj(t_j) t_j', j' >= j, in one
-    multiply per j), and transposed once into the row-major GEMM operand.
+    gathers from G (``_moment_layout``).  Exact mode passes the cached
+    monomials of the dense rows (``_dense_monomials``), the sampled modes
+    those of their distinct rows, with no 2^N array.  The weighted hidden
+    monomials are built hidden-major, one contiguous row over the U rows
+    each (the pairs conj(t_j) t_j', j' >= j, in one multiply per j), and
+    transposed once into the row-major GEMM operand.
     F is one product of [1, z] against conj([1, t]) g.
     """
-    u, n = zmat.shape
-    m = t.shape[1]
+    u, m = t.shape
+    # zm has 1 + N(N+1)/2 rows, so 8 rows - 7 = (2N + 1)^2
+    n = (math.isqrt(8 * zm.shape[0] - 7) - 1) // 2
     layout = _moment_layout(n, m)
-    zm = _dense_monomials(n) if zmat is spin_rows(n) else _visible_monomials(zmat)
     th = np.empty((1 + m + m * (m + 1) // 2, u), dtype=np.complex128)
     th[0] = wn
     tw = th[1 : 1 + m]
@@ -539,7 +541,7 @@ def _slot_system(params, s, f, energy) -> SrSystem:
 def _assemble_system(params, draw: _Draw) -> SrSystem:
     (rows, row_w, t, eloc_rows), energy = _evaluate_samples(draw)
     g = row_w * (eloc_rows - complex(row_w @ eloc_rows))
-    s, f = _moments(rows, t, row_w, g)
+    s, f = _moments(_visible_monomials(rows), t, row_w, g)
     return _slot_system(params, s, f, energy)
 
 
@@ -589,7 +591,8 @@ def compute_a_c_exact(
     if point is None or point.params is not params:
         point = exact_point(params, h)
     p = point.psi.probabilities()
-    s, f = _moments(point.zmat, point.t, p, point.e - p * point.energy)
+    zm = _dense_monomials(params.n_visible)
+    s, f = _moments(zm, point.t, p, point.e - p * point.energy)
     return _slot_system(params, s, f, _exact_estimate(point.energy))
 
 

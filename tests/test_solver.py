@@ -314,8 +314,8 @@ class TestIteRun:
 
         moments = ucrbm.estimators._moments
 
-        def broken(zmat, t, wn, g):
-            s, f = moments(zmat, t, wn, g)
+        def broken(zm, t, wn, g):
+            s, f = moments(zm, t, wn, g)
             f[0] = np.nan
             return s, f
 
